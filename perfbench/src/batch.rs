@@ -4,7 +4,7 @@
 
 use geosocial_checkin::{substream_seed, ScenarioConfig};
 use geosocial_core::classify::ClassifyConfig;
-use geosocial_core::matching::{match_checkins, MatchConfig, MatchOutcome};
+use geosocial_core::matching::{match_checkins, MatchConfig};
 use geosocial_core::prevalence::{user_compositions, UserComposition};
 use geosocial_experiments::analysis::Analysis;
 use geosocial_experiments::models::{
@@ -34,39 +34,27 @@ pub fn reference_digest(seed: u64) -> Option<u64> {
     })
 }
 
-/// FNV-1a over a stream of integers: the output digest.
-#[derive(Clone, Copy)]
-pub struct Digest(u64);
-
-impl Digest {
-    pub fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn add(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    pub fn value(self) -> u64 {
-        self.0
-    }
+/// FNV-1a of `bytes`, continuing from `h` (start from [`FNV_OFFSET`]).
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Digest of the outputs: per-user compositions (Fig. 1–6) and every
 /// Fig. 8 report's per-pair counters and transmission totals.
 pub fn output_digest(compositions: &[UserComposition], reports: &[MetricsReport]) -> u64 {
-    let mut d = Digest::new();
+    let mut h = FNV_OFFSET;
+    let mut add = |v: u64| h = fnv1a(h, &v.to_le_bytes());
     for c in compositions {
         for v in counts(c) {
-            d.add(v as u64);
+            add(v as u64);
         }
     }
     for r in reports {
-        d.add(r.total_routing_tx);
-        d.add(r.total_data_tx);
-        d.add(r.total_hello_tx);
+        add(r.total_routing_tx);
+        add(r.total_data_tx);
+        add(r.total_hello_tx);
         for p in &r.pairs {
             for v in [
                 p.src as u64,
@@ -78,11 +66,11 @@ pub fn output_digest(compositions: &[UserComposition], reports: &[MetricsReport]
                 p.data_delivered,
                 p.routing_tx,
             ] {
-                d.add(v);
+                add(v);
             }
         }
     }
-    d.value()
+    h
 }
 
 /// Set-up the reproduction pays before generating anything: the paper
@@ -105,11 +93,9 @@ fn fig8_tasks<'a>(models: &'a FittedModels, seed: u64) -> Vec<SimTask<'a>> {
     [&models.gps, &models.honest, &models.all]
         .into_iter()
         .zip(MODEL_LABELS)
-        .map(|(model, label)| {
-            let h = label.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-            });
-            SimTask { model, run_seed: seed ^ h }
+        .map(|(model, label)| SimTask {
+            model,
+            run_seed: seed ^ fnv1a(FNV_OFFSET, label.as_bytes()),
         })
         .collect()
 }
@@ -219,21 +205,15 @@ pub fn reproduce_traced(cfg: &ScenarioConfig, fig8: &Fig8Config, seed: u64) -> S
     }
 }
 
-/// One user's data as a dataset of its own, for per-user batch audits.
-pub fn single_user(ds: &Dataset, idx: usize) -> Dataset {
-    Dataset { name: ds.name.clone(), pois: ds.pois.clone(), users: vec![ds.users[idx].clone()] }
-}
-
 /// A composition's counts, for comparisons.
-pub fn counts(c: &UserComposition) -> [usize; 7] {
+fn counts(c: &UserComposition) -> [usize; 7] {
     [c.user as usize, c.total, c.honest, c.superfluous, c.remote, c.driveby, c.unclassified]
 }
 
 /// Batch audit of one dataset: matching then classification.
-pub fn audit(ds: &Dataset) -> (MatchOutcome, Vec<UserComposition>) {
+pub fn audit(ds: &Dataset) -> Vec<UserComposition> {
     let outcome = match_checkins(ds, &MatchConfig::paper());
-    let comps = user_compositions(ds, &outcome, &ClassifyConfig::default());
-    (outcome, comps)
+    user_compositions(ds, &outcome, &ClassifyConfig::default())
 }
 
 #[cfg(test)]

@@ -48,20 +48,14 @@ fn smoke(spec: ServingSpec) -> ServingSpec {
 }
 
 /// Rounds per serving run at least; more while the run's time lasts.
-const MIN_ROUNDS: usize = 3;
+const MIN_ROUNDS: usize = 4;
 /// Batch audits of the served population per round.
 const BATCH_AUDITS_PER_ROUND: usize = 20;
-/// Paced phases per round, each on fresh instances over the first
-/// `1 / PACED_PREFIX` of the frames.
-const PACED_PHASES_PER_ROUND: usize = 3;
-const PACED_PREFIX: usize = 9;
-/// The time-travel queries go out in this many slices, one per paced
-/// phase, so they sample the whole run.
-const ASOF_SLICES: usize = 9;
+/// The traced run's paced phase covers the first `1 / PACED_PREFIX` of
+/// the frames.
+const PACED_PREFIX: usize = 3;
 /// Set-ups of the batch reproduction per run.
 const BATCH_SETUPS: usize = 15;
-/// Per-user batch audits per repro-batch run, at least.
-const MIN_USER_AUDITS: usize = 1_000;
 
 pub fn nproc() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -154,12 +148,20 @@ fn main() {
             &spec,
             batch_config(Some(&spec), args.smoke),
             args.seed,
+            args.smoke,
             &mut scratch,
             &mut report,
         ),
         (None, true) => {
             let s = if args.smoke { smoke(SERVE_RUN) } else { SERVE_RUN };
-            traced(&s, batch_config(None, args.smoke), args.seed, &mut scratch, &mut report)
+            traced(
+                &s,
+                batch_config(None, args.smoke),
+                args.seed,
+                args.smoke,
+                &mut scratch,
+                &mut report,
+            )
         }
     };
     scratch.remove();
@@ -202,9 +204,9 @@ fn latency(report: &mut Report, name: &'static str, lat: &Latencies, p: f64, smo
 }
 
 /// End-to-end run of a serving workload, in rounds so every metric
-/// samples the whole run. Each round is one saturating replay, batch
-/// audits of the same population, and paced open-loop phases; each paced
-/// phase's server then answers a slice of the time-travel queries.
+/// samples the whole run. Each round is one saturating replay on fresh
+/// instances, a slice of the time-travel queries to that server, and batch
+/// audits of the same population.
 fn serving_e2e(
     spec: &ServingSpec,
     seed: u64,
@@ -218,15 +220,14 @@ fn serving_e2e(
     let mut ingest = Vec::new();
     let mut asof_lat = Vec::new();
     let mut batch_s = Vec::new();
-    let mut phases = Vec::new();
-    let mut paced_input = None;
+    let mut queries = None;
     while ingest.len() < MIN_ROUNDS || started.elapsed() < budget {
+        let round = ingest.len();
         let t = Instant::now();
         let pop = serving::populate(spec, seed);
         let topo = Topology::start(spec, scratch)?;
         setups.push(t.elapsed().as_secs_f64());
         let r = serving::saturate(topo.front, spec, seed, true)?;
-        topo.stop()?;
         ingest.push(r.events_per_sec);
         report.attempts(
             r.frames_sent as u64,
@@ -240,97 +241,44 @@ fn serving_e2e(
         );
         report.check(r.verified == Some(true), || format!("served != batch: {:?}", r.mismatches));
 
+        let queries = queries.get_or_insert_with(|| {
+            let by_user = serving::events_by_user(&pop.dataset);
+            serving::asof_queries(&pop.dataset, &by_user, serving::ASOF_QUERIES, seed)
+        });
+        let slice: Vec<&serving::AsOfQuery> = if round < MIN_ROUNDS {
+            queries.iter().skip(round).step_by(MIN_ROUNDS).collect()
+        } else {
+            Vec::new()
+        };
+        let (lat, wrong) = serving::asof_phase(topo.front, &slice)?;
+        topo.stop()?;
+        report.attempts(slice.len() as u64, wrong.len() as u64, || {
+            format!("AsOf != batch truncated: {wrong:?}")
+        });
+        asof_lat.extend(lat);
+
         for _ in 0..BATCH_AUDITS_PER_ROUND {
             let t = Instant::now();
             std::hint::black_box(batch::audit(&pop.dataset));
             batch_s.push(t.elapsed().as_secs_f64());
-        }
-
-        // Paced phases: each on fresh instances, over the same prefix of
-        // the stream, so the served state can be checked exactly.
-        let (frames, expected, queries) = paced_input.get_or_insert_with(|| {
-            let mut frames = serving::frames(&pop.dataset, spec.run_len, nproc());
-            frames.truncate(frames.len() / PACED_PREFIX);
-            let carried = serving::prefix_events(&pop.dataset, &frames);
-            let expected = serving::audit_events(&pop.dataset, &carried);
-            let queries =
-                serving::asof_queries(&pop.dataset, &carried, serving::ASOF_QUERIES, seed);
-            (frames, expected, queries)
-        });
-        for _ in 0..PACED_PHASES_PER_ROUND {
-            let topo = Topology::start(spec, scratch)?;
-            let paced = serving::paced_replay(
-                topo.front,
-                &serving::hello(&pop.dataset),
-                frames,
-                nproc(),
-                spec.paced_ev_s,
-            )?;
-            serving::finish(topo.front)?;
-            let mismatches = serving::verify_stream(topo.front, expected)?;
-            let slice: Vec<&serving::AsOfQuery> = if phases.len() < ASOF_SLICES {
-                queries.iter().skip(phases.len()).step_by(ASOF_SLICES).collect()
-            } else {
-                Vec::new()
-            };
-            let (lat, wrong) = serving::asof_phase(topo.front, &slice)?;
-            topo.stop()?;
-            report.attempts(paced.frames as u64, paced.errors, || {
-                format!("{} paced frames failed", paced.errors)
-            });
-            report.attempts(expected.len() as u64, mismatches.len() as u64, || {
-                format!("paced replay served != batch truncated: {mismatches:?}")
-            });
-            report.attempts(slice.len() as u64, wrong.len() as u64, || {
-                format!("AsOf != batch truncated: {wrong:?}")
-            });
-            asof_lat.extend(lat);
-            phases.push(paced);
         }
     }
 
     let asof = Latencies::from_durations(asof_lat);
     report.metric("setup_s", median(&setups), "s", setups.len());
     report.metric("ingest_ev_s", median(&ingest), "events/s", ingest.len());
-    phase_latency(report, "ack_p50_ms", &phases, 0.5, smoke);
-    phase_latency(report, "ack_p90_ms", &phases, 0.9, smoke);
     latency(report, "asof_p50_ms", &asof, 0.5, smoke);
     latency(report, "asof_p95_ms", &asof, 0.95, smoke);
     report.metric("batch_s", median(&batch_s), "s", batch_s.len());
     report.metric("peak_rss_mb", Usage::now().max_rss_kib as f64 / 1024.0, "MiB", 1);
-    generator_honesty(report, &phases, smoke);
     Ok(())
-}
-
-/// An ack-latency percentile over paced phases: the median of each
-/// phase's percentile, so one disturbed phase does not set the run's
-/// value. Every phase must have ten samples beyond the percentile.
-fn phase_latency(
-    report: &mut Report,
-    name: &'static str,
-    phases: &[serving::Paced],
-    p: f64,
-    smoke: bool,
-) {
-    let per_phase: Vec<(f64, bool)> =
-        phases.iter().map(|ph| Latencies::from_durations(ph.ack.iter().copied()).at(p)).collect();
-    let values: Vec<f64> = per_phase.iter().map(|v| v.0).collect();
-    let frames: usize = phases.iter().map(|ph| ph.frames).sum();
-    report.metric(name, median(&values), "ms", frames);
-    if !smoke {
-        let supported = per_phase.iter().all(|v| v.1);
-        report.check(supported, || format!("{name}: phases too short to support p{}", p * 100.0));
-    }
 }
 
 /// The paced client must not set the latency it reports: when the
 /// generator's own lateness makes up half or more of the slowest 1% of
-/// frames' latency (median over phases), the run measured the client, and
-/// it counts as failed.
-fn generator_honesty(report: &mut Report, phases: &[serving::Paced], smoke: bool) {
-    let shares: Vec<f64> = phases.iter().map(serving::Paced::tail_lateness_share).collect();
-    let share = median(&shares);
-    let late = Latencies::from_durations(phases.iter().flat_map(|ph| ph.late.iter().copied()));
+/// frames' latency, the phase measured the client, and it counts as failed.
+fn generator_honesty(report: &mut Report, paced: &serving::Paced, late: &Latencies, smoke: bool) {
+    let share = paced.tail_lateness_share();
     println!(
         "paced generator lateness p99 = {} ms; share of the ack tail = {share}",
         late.at(0.99).0
@@ -369,32 +317,20 @@ fn batch_e2e(seed: u64, smoke: bool, report: &mut Report) -> io::Result<()> {
     });
     drop(serial);
 
-    // Per-user batch audits: one user's whole trace, matched and classified.
-    let ds = &rep.primary;
-    let mut user_lat = Vec::new();
-    let mut wrong = 0u64;
-    while user_lat.len() < MIN_USER_AUDITS {
-        for (i, want) in rep.compositions.iter().enumerate() {
-            let one = batch::single_user(ds, i);
-            let t = Instant::now();
-            let (_, comps) = batch::audit(&one);
-            user_lat.push(t.elapsed());
-            wrong += u64::from(comps.first().map(batch::counts) != Some(batch::counts(want)));
-        }
-    }
-    report.attempts(user_lat.len() as u64, wrong, || {
-        format!("{wrong} per-user audits != whole-cohort audit")
-    });
-
     // In-process time travel: one user's events audited up to t.
+    let ds = &rep.primary;
     let by_user = serving::events_by_user(ds);
     let acfg = AuditConfig::paper(ds.pois.projection().origin());
     let queries = serving::asof_queries(ds, &by_user, serving::ASOF_QUERIES, seed);
     let mut asof_lat = Vec::new();
     for q in &queries {
-        let t = Instant::now();
-        std::hint::black_box(serving::asof_answer(&by_user[&q.user], &acfg, q.t));
-        asof_lat.push(t.elapsed());
+        let mut fastest = Duration::MAX;
+        for _ in 0..serving::ASOF_REPEATS {
+            let t = Instant::now();
+            std::hint::black_box(serving::asof_answer(&by_user[&q.user], &acfg, q.t));
+            fastest = fastest.min(t.elapsed());
+        }
+        asof_lat.push(fastest);
     }
     // Audited to the end, the same path must give the batch composition.
     let queried: BTreeSet<u32> = queries.iter().map(|q| q.user).collect();
@@ -405,12 +341,9 @@ fn batch_e2e(seed: u64, smoke: bool, report: &mut Report) -> io::Result<()> {
     }
 
     let events: usize = by_user.values().map(Vec::len).sum();
-    let user = Latencies::from_durations(user_lat);
     let asof = Latencies::from_durations(asof_lat);
     report.metric("setup_s", median(&setups), "s", setups.len());
     report.metric("ingest_ev_s", events as f64 / rep.analysis.as_secs_f64(), "events/s", 1);
-    latency(report, "ack_p50_ms", &user, 0.5, smoke);
-    latency(report, "ack_p90_ms", &user, 0.9, smoke);
     latency(report, "asof_p50_ms", &asof, 0.5, smoke);
     latency(report, "asof_p95_ms", &asof, 0.95, smoke);
     report.metric("batch_s", rep.total.as_secs_f64(), "s", 1);
@@ -470,6 +403,7 @@ fn traced(
     spec: &ServingSpec,
     (batch_cfg, fig8): (geosocial_checkin::ScenarioConfig, Fig8Config),
     seed: u64,
+    smoke: bool,
     scratch: &mut serving::Scratch,
     report: &mut Report,
 ) -> io::Result<()> {
@@ -493,7 +427,7 @@ fn traced(
     let populate_s = t.elapsed().as_secs_f64();
     let populate_usage = Usage::now().since(u0);
     let ds = &pop.dataset;
-    let (_, expected) = batch::audit(ds);
+    let expected = batch::audit(ds);
     let acfg = AuditConfig::paper(ds.pois.projection().origin());
     let frames = serving::frames(ds, spec.run_len, nproc());
     let events: usize = frames.iter().map(|f| f.events).sum();
@@ -532,6 +466,8 @@ fn traced(
         format!("paced served != batch truncated: {mismatches:?}")
     });
     let late = Latencies::from_durations(paced.late.iter().copied());
+    let ack = Latencies::from_durations(paced.ack.iter().copied());
+    generator_honesty(report, &paced, &late, smoke);
 
     let frames_per_event = frames.len() as f64 / events.max(1) as f64;
     let wire_per_event = (w.decode_ns_per_frame + w.ack_encode_ns_per_frame) * frames_per_event;
@@ -583,6 +519,8 @@ fn traced(
         "ns",
         events,
     );
+    m(report, "loadgen.ack_p50_ms", ack.at(0.5).0, "ms", ack.len());
+    m(report, "loadgen.ack_p90_ms", ack.at(0.9).0, "ms", ack.len());
     m(report, "loadgen.late_p99_ms", late.at(0.99).0, "ms", late.len());
     m(report, "scenario.populate_s", populate_s, "s", 1);
     m(report, "scenario.generate_s", stages.generate.as_secs_f64(), "s", 1);
