@@ -257,11 +257,14 @@ fn serving_e2e(
         });
         asof_lat.extend(lat);
 
+        // Repeated like the time-travel queries, and timed at its fastest.
+        let mut fastest = f64::INFINITY;
         for _ in 0..BATCH_AUDITS_PER_ROUND {
             let t = Instant::now();
             std::hint::black_box(batch::audit(&pop.dataset));
-            batch_s.push(t.elapsed().as_secs_f64());
+            fastest = fastest.min(t.elapsed().as_secs_f64());
         }
+        batch_s.push(fastest);
     }
 
     let asof = Latencies::from_durations(asof_lat);
@@ -321,7 +324,9 @@ fn batch_e2e(seed: u64, smoke: bool, report: &mut Report) -> io::Result<()> {
     let ds = &rep.primary;
     let by_user = serving::events_by_user(ds);
     let acfg = AuditConfig::paper(ds.pois.projection().origin());
-    let queries = serving::asof_queries(ds, &by_user, serving::ASOF_QUERIES, seed);
+    // In-process queries are cheap; four times the served set keeps the
+    // tail from resting on a few users' histories.
+    let queries = serving::asof_queries(ds, &by_user, 4 * serving::ASOF_QUERIES, seed);
     let mut asof_lat = Vec::new();
     for q in &queries {
         let mut fastest = Duration::MAX;
