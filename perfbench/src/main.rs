@@ -479,70 +479,60 @@ fn traced(
     let traced_per_event =
         wire_per_event + st.audit_ns_per_event + sto.append_ns_per_event + sto.flush_ns_per_event;
 
-    let m = |report: &mut Report,
-             name: &'static str,
-             value: f64,
-             unit: &'static str,
-             samples: usize| { report.metric(name, value, unit, samples) };
     let nf = frames.len();
-    m(report, "wire.encode_ns_per_frame", w.encode_ns_per_frame, "ns", nf);
-    m(report, "wire.decode_ns_per_frame", w.decode_ns_per_frame, "ns", nf);
-    m(report, "wire.ack_encode_ns_per_frame", w.ack_encode_ns_per_frame, "ns", nf);
-    m(report, "wire.bytes_per_event", serving::bytes_per_event(&frames), "bytes", events);
-    m(report, "stream.detect_ns_per_fix", st.detect_ns_per_fix, "ns", events);
-    m(report, "stream.audit_ns_per_event", st.audit_ns_per_event, "ns", events);
-    m(
-        report,
+    report.metric("wire.encode_ns_per_frame", w.encode_ns_per_frame, "ns", nf);
+    report.metric("wire.decode_ns_per_frame", w.decode_ns_per_frame, "ns", nf);
+    report.metric("wire.ack_encode_ns_per_frame", w.ack_encode_ns_per_frame, "ns", nf);
+    report.metric("wire.bytes_per_event", serving::bytes_per_event(&frames), "bytes", events);
+    report.metric("stream.detect_ns_per_fix", st.detect_ns_per_fix, "ns", events);
+    report.metric("stream.audit_ns_per_event", st.audit_ns_per_event, "ns", events);
+    report.metric(
         "core.match_classify_ns_per_checkin",
         st.match_classify_ns_per_checkin,
         "ns",
         checkins,
     );
-    m(report, "stream.state_items", st.state_items as f64, "count", by_user.len());
-    m(report, "store.append_ns_per_event", sto.append_ns_per_event, "ns", events);
-    m(report, "store.flush_ns_per_event", sto.flush_ns_per_event, "ns", events);
-    m(report, "store.bytes_per_event", sto.bytes_per_event, "bytes", events);
-    m(report, "store.query_us", sto.query_us, "us", queries.len());
-    m(report, "stream.reaudit_us", sto.reaudit_us, "us", queries.len());
-    m(report, "serve.cpu_ns_per_event", own.cpu_ns_per_event, "ns", events);
-    m(report, "serve.ctx_switches_per_frame", own.ctx_per_frame, "count", nf);
-    m(
-        report,
+    report.metric("stream.state_items", st.state_items as f64, "count", by_user.len());
+    report.metric("store.append_ns_per_event", sto.append_ns_per_event, "ns", events);
+    report.metric("store.flush_ns_per_event", sto.flush_ns_per_event, "ns", events);
+    report.metric("store.bytes_per_event", sto.bytes_per_event, "bytes", events);
+    report.metric("store.query_us", sto.query_us, "us", queries.len());
+    report.metric("stream.reaudit_us", sto.reaudit_us, "us", queries.len());
+    report.metric("serve.cpu_ns_per_event", own.cpu_ns_per_event, "ns", events);
+    report.metric("serve.ctx_switches_per_frame", own.ctx_per_frame, "count", nf);
+    report.metric(
         "serve.unattributed_ns_per_event",
         own.cpu_ns_per_event - traced_per_event,
         "ns",
         events,
     );
-    m(report, "serve.shard_skew", own.shard_skew, "ratio", 1);
-    m(report, "serve.duplicates", own.duplicates, "count", 1);
-    m(report, "router.peek_ns_per_frame", rt.peek_ns_per_frame, "ns", nf);
-    m(report, "router.owner_ns_per_lookup", rt.owner_ns_per_lookup, "ns", nf);
-    m(
-        report,
+    report.metric("serve.shard_skew", own.shard_skew, "ratio", 1);
+    report.metric("serve.duplicates", own.duplicates, "count", 1);
+    report.metric("router.peek_ns_per_frame", rt.peek_ns_per_frame, "ns", nf);
+    report.metric("router.owner_ns_per_lookup", rt.owner_ns_per_lookup, "ns", nf);
+    report.metric(
         "router.hop_cpu_ns_per_event",
         s2.cpu_ns_per_event - s1.cpu_ns_per_event,
         "ns",
         events,
     );
-    m(report, "loadgen.ack_p50_ms", ack.at(0.5).0, "ms", ack.len());
-    m(report, "loadgen.ack_p90_ms", ack.at(0.9).0, "ms", ack.len());
-    m(report, "loadgen.late_p99_ms", late.at(0.99).0, "ms", late.len());
-    m(report, "scenario.populate_s", populate_s, "s", 1);
-    m(report, "scenario.generate_s", stages.generate.as_secs_f64(), "s", 1);
-    m(report, "core.match_s", stages.matching.as_secs_f64(), "s", 1);
-    m(report, "core.classify_s", stages.classify.as_secs_f64(), "s", 1);
-    m(report, "mobility.fit_s", stages.fit.as_secs_f64(), "s", 1);
-    m(report, "manet.sim_s", sim_s, "s", stages.sims.len());
-    m(report, "manet.tx_per_s", tx as f64 / sim_s, "1/s", stages.sims.len());
-    m(
-        report,
+    report.metric("loadgen.ack_p50_ms", ack.at(0.5).0, "ms", ack.len());
+    report.metric("loadgen.ack_p90_ms", ack.at(0.9).0, "ms", ack.len());
+    report.metric("loadgen.late_p99_ms", late.at(0.99).0, "ms", late.len());
+    report.metric("scenario.populate_s", populate_s, "s", 1);
+    report.metric("scenario.generate_s", stages.generate.as_secs_f64(), "s", 1);
+    report.metric("core.match_s", stages.matching.as_secs_f64(), "s", 1);
+    report.metric("core.classify_s", stages.classify.as_secs_f64(), "s", 1);
+    report.metric("mobility.fit_s", stages.fit.as_secs_f64(), "s", 1);
+    report.metric("manet.sim_s", sim_s, "s", stages.sims.len());
+    report.metric("manet.tx_per_s", tx as f64 / sim_s, "1/s", stages.sims.len());
+    report.metric(
         "par.efficiency",
         task_s / (threads as f64 * stages.fig8.as_secs_f64()),
         "ratio",
         stages.sims.len(),
     );
-    m(
-        report,
+    report.metric(
         "trace.overhead_frac",
         stages.total.as_secs_f64() / plain_total.as_secs_f64(),
         "ratio",
