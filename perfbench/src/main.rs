@@ -48,7 +48,7 @@ fn smoke(spec: ServingSpec) -> ServingSpec {
 }
 
 /// Rounds per serving run at least; more while the run's time lasts.
-const MIN_ROUNDS: usize = 4;
+const MIN_ROUNDS: usize = 6;
 /// Batch audits of the served population per round.
 const BATCH_AUDITS_PER_ROUND: usize = 20;
 /// The traced run's paced phase covers the first `1 / PACED_PREFIX` of
