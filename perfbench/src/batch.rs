@@ -1,8 +1,9 @@
-//! The batch reproduction: paper-scale generation, matching and
-//! classification (Fig. 1–6 compositions), mobility fitting and one
-//! Fig. 8 AODV repetition per trained model on the `par` pool.
+//! The batch reproduction: generation, matching and classification
+//! (Fig. 1–6 compositions), mobility fitting and one Fig. 8 AODV
+//! repetition per trained model on the `par` pool, on the served
+//! population's scenario configuration.
 
-use geosocial_checkin::{substream_seed, ScenarioConfig};
+use geosocial_checkin::ScenarioConfig;
 use geosocial_core::classify::ClassifyConfig;
 use geosocial_core::matching::{match_checkins, MatchConfig};
 use geosocial_core::prevalence::{user_compositions, UserComposition};
@@ -11,28 +12,14 @@ use geosocial_experiments::models::{
     fit_models, random_pairs, training_traces, Fig8Config, FittedModels,
 };
 use geosocial_manet::{MetricsReport, SimConfig, Simulator};
-use geosocial_mobility::{generate_city, LevyWalkModel, MovementTrace};
+use geosocial_mobility::{LevyWalkModel, MovementTrace};
 use geosocial_trace::Dataset;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::time::{Duration, Instant};
 
-/// Reference digests of the repro-batch outputs, one `seed digest` pair
-/// per line, taken from the code this benchmark was written against.
-const REFERENCE_DIGESTS: &str = include_str!("../reference_digests.txt");
-
 /// The three trained models in Fig. 8 display order.
 const MODEL_LABELS: [&str; 3] = ["GPS", "Honest-Checkin", "All-Checkin"];
-
-/// The reference digest for `seed`, if one was recorded.
-pub fn reference_digest(seed: u64) -> Option<u64> {
-    REFERENCE_DIGESTS.lines().find_map(|line| {
-        let mut parts = line.split_whitespace();
-        let s: u64 = parts.next()?.parse().ok()?;
-        let d = u64::from_str_radix(parts.next()?, 16).ok()?;
-        (s == seed).then_some(d)
-    })
-}
 
 /// FNV-1a of `bytes`, continuing from `h` (start from [`FNV_OFFSET`]).
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
@@ -71,16 +58,6 @@ pub fn output_digest(compositions: &[UserComposition], reports: &[MetricsReport]
         }
     }
     h
-}
-
-/// Set-up the reproduction pays before generating anything: the paper
-/// configuration and its city.
-pub fn setup(seed: u64) -> (ScenarioConfig, usize) {
-    let cfg = Analysis::paper_config();
-    let mut rng = ChaCha12Rng::seed_from_u64(substream_seed(seed, 0, 0));
-    let city = generate_city(&cfg.city, &mut rng);
-    let pois = std::hint::black_box(city).len();
-    (cfg, pois)
 }
 
 /// One Fig. 8 simulation task: a model and its repetition seed.
@@ -133,13 +110,10 @@ pub fn fig8_reports(
     geosocial_par::par_map(&tasks, |t| simulate(t, cfg)).into_iter().unzip()
 }
 
-/// Everything one untimed-or-timed pass of the reproduction produced.
+/// Everything one untimed-by-layer pass of the reproduction produced.
 pub struct Reproduction {
-    pub primary: Dataset,
     pub compositions: Vec<UserComposition>,
     pub reports: Vec<MetricsReport>,
-    /// Wall time of `Analysis::run` (generation, matching, classification).
-    pub analysis: Duration,
     /// Wall time of the whole reproduction.
     pub total: Duration,
 }
@@ -148,18 +122,10 @@ pub struct Reproduction {
 pub fn reproduce(cfg: &ScenarioConfig, fig8: &Fig8Config, seed: u64) -> Reproduction {
     let t0 = Instant::now();
     let a = Analysis::run(cfg, seed);
-    let analysis = t0.elapsed();
     let traces = training_traces(&a.scenario.primary, &a.outcome);
-    let models = fit_models(&traces).expect("the paper cohort yields fittable traces");
+    let models = fit_models(&traces).expect("the cohort yields fittable traces");
     let (reports, _) = fig8_reports(&models, fig8, seed);
-    let total = t0.elapsed();
-    Reproduction {
-        primary: a.scenario.primary,
-        compositions: a.compositions,
-        reports,
-        analysis,
-        total,
-    }
+    Reproduction { compositions: a.compositions, reports, total: t0.elapsed() }
 }
 
 /// Per-stage timings of a reproduction timed call by call.
@@ -235,17 +201,5 @@ mod tests {
         assert_eq!(a, output_digest(&[c(0, 2), c(1, 1)], &[]));
         assert_ne!(a, output_digest(&[c(1, 1), c(0, 2)], &[]));
         assert_ne!(a, output_digest(&[c(0, 1), c(1, 1)], &[]));
-    }
-
-    #[test]
-    fn reference_table_parses() {
-        let seeds: Vec<u64> = REFERENCE_DIGESTS
-            .lines()
-            .filter_map(|l| l.split_whitespace().next()?.parse().ok())
-            .collect();
-        assert!(!seeds.is_empty());
-        for s in seeds {
-            assert!(reference_digest(s).is_some(), "seed {s}");
-        }
     }
 }

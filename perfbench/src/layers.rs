@@ -193,7 +193,6 @@ pub fn stream_probe(frames: &[Frame], cfg: &AuditConfig) -> StreamCosts {
 pub struct StoreCosts {
     pub append_ns_per_event: f64,
     pub flush_ns_per_event: f64,
-    pub bytes_per_event: f64,
     /// Mean `EventStore::query` time per time-travel query.
     pub query_us: f64,
     /// Mean re-audit time of the queried records per query.
@@ -202,8 +201,10 @@ pub struct StoreCosts {
     pub wrong: Vec<String>,
 }
 
-/// The server's per-event record body: kind, sequence number, position
-/// (plus the POI for checkins).
+/// A per-event record body laid out like the server's private one: kind,
+/// sequence number, position (plus the POI for checkins). It is a copy, so
+/// a change to the server's record format does not move the store probe;
+/// the served store's own bytes per record come from `DrainReport`.
 fn record_body(buf: &mut Vec<u8>, seq: u64, ev: &Ev) {
     buf.clear();
     match ev {
@@ -285,7 +286,6 @@ pub fn store_probe(
     let t0 = Instant::now();
     store.flush()?;
     flush += t0.elapsed();
-    let bytes_per_event = store.total_bytes() as f64 / records.len().max(1) as f64;
 
     let mut query = std::time::Duration::ZERO;
     let mut reaudit = std::time::Duration::ZERO;
@@ -319,7 +319,6 @@ pub fn store_probe(
     Ok(StoreCosts {
         append_ns_per_event: ns_per(append, records.len()),
         flush_ns_per_event: ns_per(flush, records.len()),
-        bytes_per_event,
         query_us: query.as_secs_f64() * 1e6 / n,
         reaudit_us: reaudit.as_secs_f64() * 1e6 / n,
         wrong,

@@ -2,15 +2,14 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload serve-run --seed 1 --seconds 10 --trace 0
+//!     --workload serve-run --seed 1 --seconds 35 --trace 0
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics, `--trace 1` the per-layer
 //! metrics (see `perfbench/README.md`). The last line of standard output
 //! is the JSON result; the lines before it list every metric by name with
 //! its unit and sample count, the run's provenance and any failure.
-//! `--smoke` shrinks every workload to a few seconds for the tests;
-//! `--digest` prints the repro-batch reference digest line for `--seed`.
+//! `--smoke` shrinks every workload to a few seconds for the tests.
 
 mod batch;
 mod layers;
@@ -19,11 +18,11 @@ mod serving;
 mod stats;
 
 use geosocial_experiments::models::Fig8Config;
+use geosocial_serve::loadgen;
 use geosocial_stream::AuditConfig;
 use report::Report;
 use serving::{ServingSpec, Topology};
 use stats::{median, Latencies, Usage};
-use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -33,29 +32,37 @@ use std::time::{Duration, Instant};
 const SCRATCH_DIR: &str = ".bench_run";
 
 /// The workloads and their serving shapes. Paced rates sit between a
-/// quarter and a third of the saturating `ingest_ev_s` measured on a
-/// 2-CPU host (see the README for why not half).
-const SERVE_RUN: ServingSpec =
-    ServingSpec { users: 128, days: 14, run_len: 64, paced_ev_s: 200_000.0, router: false };
-const SERVE_FRAME: ServingSpec =
-    ServingSpec { users: 20, days: 7, run_len: 1, paced_ev_s: 20_000.0, router: false };
-const ROUTER_RUN: ServingSpec =
-    ServingSpec { users: 128, days: 14, run_len: 64, paced_ev_s: 100_000.0, router: true };
+/// quarter and a third of the saturating `ingest_ev_s`, and round times
+/// are as measured, on a 2-CPU host (see the README for why not half).
+const SERVE_RUN: ServingSpec = ServingSpec {
+    users: 128,
+    days: 14,
+    run_len: 64,
+    paced_ev_s: 200_000.0,
+    router: false,
+    round_s: 5.5,
+};
+const SERVE_FRAME: ServingSpec = ServingSpec {
+    users: 32,
+    days: 7,
+    run_len: 1,
+    paced_ev_s: 20_000.0,
+    router: false,
+    round_s: 2.9,
+};
 
 /// The smoke-size versions the tests run.
 fn smoke(spec: ServingSpec) -> ServingSpec {
     ServingSpec { users: 6, days: 2, paced_ev_s: spec.paced_ev_s / 4.0, ..spec }
 }
 
-/// Rounds per serving run at least; more while the run's time lasts.
+/// Rounds per serving run at least; more as `--seconds` allows.
 const MIN_ROUNDS: usize = 6;
 /// Batch audits of the served population per round.
 const BATCH_AUDITS_PER_ROUND: usize = 20;
 /// The traced run's paced phase covers the first `1 / PACED_PREFIX` of
 /// the frames.
 const PACED_PREFIX: usize = 3;
-/// Set-ups of the batch reproduction per run.
-const BATCH_SETUPS: usize = 15;
 
 pub fn nproc() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -67,18 +74,11 @@ struct Args {
     seconds: u64,
     trace: bool,
     smoke: bool,
-    digest: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        workload: String::new(),
-        seed: 1,
-        seconds: 10,
-        trace: false,
-        smoke: false,
-        digest: false,
-    };
+    let mut args =
+        Args { workload: String::new(), seed: 1, seconds: 10, trace: false, smoke: false };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -96,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--smoke" => args.smoke = true,
-            "--digest" => args.digest = true,
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -112,24 +111,15 @@ fn main() {
         }
     };
     let spec = match args.workload.as_str() {
-        "serve-run" => Some(SERVE_RUN),
-        "serve-frame" => Some(SERVE_FRAME),
-        "router-run" => Some(ROUTER_RUN),
-        "repro-batch" => None,
+        "serve-run" => SERVE_RUN,
+        "serve-frame" => SERVE_FRAME,
         other => {
-            eprintln!("perfbench: unknown workload {other:?} (serve-run, serve-frame, router-run, repro-batch)");
+            eprintln!("perfbench: unknown workload {other:?} (serve-run, serve-frame)");
             std::process::exit(2);
         }
     };
-    let spec = spec.map(|s| if args.smoke { smoke(s) } else { s });
+    let spec = if args.smoke { smoke(spec) } else { spec };
     geosocial_par::set_max_threads(nproc());
-    if args.digest {
-        // One line of the reference table `perfbench/reference_digests.txt`.
-        let (cfg, fig8) = batch_config(None, false);
-        let rep = batch::reproduce(&cfg, &fig8, args.seed);
-        println!("{} {:016x}", args.seed, batch::output_digest(&rep.compositions, &rep.reports));
-        return;
-    }
     let mut scratch = match serving::Scratch::new(Path::new(SCRATCH_DIR)) {
         Ok(s) => s,
         Err(e) => {
@@ -139,30 +129,10 @@ fn main() {
     };
     let budget = Duration::from_secs(args.seconds);
     let mut report = Report::default();
-    let outcome = match (spec, args.trace) {
-        (Some(spec), false) => {
-            serving_e2e(&spec, args.seed, budget, args.smoke, &mut scratch, &mut report)
-        }
-        (None, false) => batch_e2e(args.seed, args.smoke, &mut report),
-        (Some(spec), true) => traced(
-            &spec,
-            batch_config(Some(&spec), args.smoke),
-            args.seed,
-            args.smoke,
-            &mut scratch,
-            &mut report,
-        ),
-        (None, true) => {
-            let s = if args.smoke { smoke(SERVE_RUN) } else { SERVE_RUN };
-            traced(
-                &s,
-                batch_config(None, args.smoke),
-                args.seed,
-                args.smoke,
-                &mut scratch,
-                &mut report,
-            )
-        }
+    let outcome = if args.trace {
+        traced(&spec, args.seed, args.smoke, &mut scratch, &mut report)
+    } else {
+        serving_e2e(&spec, args.seed, budget, args.smoke, &mut scratch, &mut report)
     };
     scratch.remove();
     if let Err(e) = outcome {
@@ -172,10 +142,9 @@ fn main() {
     print!("{}", report.render(&report::provenance(&args.workload, args.seed, args.trace)));
 }
 
-/// The batch layers' configuration: the served population's own for a
-/// serving workload, the paper's for repro-batch.
+/// The batch layers' configuration: the served population's own.
 fn batch_config(
-    spec: Option<&ServingSpec>,
+    spec: &ServingSpec,
     smoke: bool,
 ) -> (geosocial_checkin::ScenarioConfig, Fig8Config) {
     let fig8 = if smoke {
@@ -183,12 +152,7 @@ fn batch_config(
     } else {
         Fig8Config { repetitions: 1, ..Fig8Config::default() }
     };
-    let cfg = match spec {
-        Some(s) => geosocial_checkin::ScenarioConfig::small(s.users, s.days),
-        None if smoke => geosocial_experiments::Analysis::quick_config(),
-        None => geosocial_experiments::Analysis::paper_config(),
-    };
-    (cfg, fig8)
+    (geosocial_checkin::ScenarioConfig::small(spec.users, spec.days), fig8)
 }
 
 /// Report a latency percentile, counting an unsupported one (fewer than
@@ -206,7 +170,19 @@ fn latency(report: &mut Report, name: &'static str, lat: &Latencies, p: f64, smo
 /// End-to-end run of a serving workload, in rounds so every metric
 /// samples the whole run. Each round is one saturating replay on fresh
 /// instances, a slice of the time-travel queries to that server, and batch
-/// audits of the same population.
+/// audits of the same population. The number of rounds follows from
+/// `budget` and the workload's round time on the reference host, so a run
+/// does the same work however fast the host is.
+///
+/// The reference host's speed drifts while a run goes on, so the figures
+/// that repeat the same work keep the repeat the host slowed least: the
+/// fastest replay, each time-travel query's fastest answer (slice `k` of
+/// the queries goes to the servers of `ASOF_PASSES` rounds spread evenly
+/// over the first `MIN_ROUNDS`, which hold the same events) and the
+/// fastest batch audit. Set-up time is
+/// the median. Peak RSS is the process high-water mark after the first
+/// round: every later round raises it by what the allocator retained from
+/// the instances before, which varies from run to run.
 fn serving_e2e(
     spec: &ServingSpec,
     seed: u64,
@@ -215,14 +191,14 @@ fn serving_e2e(
     scratch: &mut serving::Scratch,
     report: &mut Report,
 ) -> io::Result<()> {
-    let started = Instant::now();
+    let rounds = ((budget.as_secs_f64() / spec.round_s) as usize).max(MIN_ROUNDS);
     let mut setups = Vec::new();
     let mut ingest = Vec::new();
-    let mut asof_lat = Vec::new();
-    let mut batch_s = Vec::new();
+    let mut asof_best: Vec<Duration> = Vec::new();
+    let mut batch_s = f64::INFINITY;
+    let mut peak_rss_mb = 0.0;
     let mut queries = None;
-    while ingest.len() < MIN_ROUNDS || started.elapsed() < budget {
-        let round = ingest.len();
+    for round in 0..rounds {
         let t = Instant::now();
         let pop = serving::populate(spec, seed);
         let topo = Topology::start(spec, scratch)?;
@@ -241,39 +217,49 @@ fn serving_e2e(
         );
         report.check(r.verified == Some(true), || format!("served != batch: {:?}", r.mismatches));
 
-        let queries = queries.get_or_insert_with(|| {
+        let queries: &Vec<serving::AsOfQuery> = queries.get_or_insert_with(|| {
             let by_user = serving::events_by_user(&pop.dataset);
             serving::asof_queries(&pop.dataset, &by_user, serving::ASOF_QUERIES, seed)
         });
-        let slice: Vec<&serving::AsOfQuery> = if round < MIN_ROUNDS {
-            queries.iter().skip(round).step_by(MIN_ROUNDS).collect()
+        asof_best.resize(queries.len(), Duration::MAX);
+        let slices: Vec<usize> = if round < MIN_ROUNDS {
+            let spacing = MIN_ROUNDS / serving::ASOF_PASSES;
+            (0..serving::ASOF_PASSES)
+                .map(|pass| (round + MIN_ROUNDS - pass * spacing) % MIN_ROUNDS)
+                .collect()
         } else {
             Vec::new()
         };
-        let (lat, wrong) = serving::asof_phase(topo.front, &slice)?;
+        for k in slices {
+            let idx: Vec<usize> = (k..queries.len()).step_by(MIN_ROUNDS).collect();
+            let slice: Vec<&serving::AsOfQuery> = idx.iter().map(|&i| &queries[i]).collect();
+            let (lat, wrong) = serving::asof_phase(topo.front, &slice)?;
+            report.attempts(slice.len() as u64, wrong.len() as u64, || {
+                format!("AsOf != batch truncated: {wrong:?}")
+            });
+            for (i, d) in idx.into_iter().zip(lat) {
+                asof_best[i] = asof_best[i].min(d);
+            }
+        }
         topo.stop()?;
-        report.attempts(slice.len() as u64, wrong.len() as u64, || {
-            format!("AsOf != batch truncated: {wrong:?}")
-        });
-        asof_lat.extend(lat);
 
-        // Repeated like the time-travel queries, and timed at its fastest.
-        let mut fastest = f64::INFINITY;
         for _ in 0..BATCH_AUDITS_PER_ROUND {
             let t = Instant::now();
             std::hint::black_box(batch::audit(&pop.dataset));
-            fastest = fastest.min(t.elapsed().as_secs_f64());
+            batch_s = batch_s.min(t.elapsed().as_secs_f64());
         }
-        batch_s.push(fastest);
+        if round == 0 {
+            peak_rss_mb = Usage::now().max_rss_kib as f64 / 1024.0;
+        }
     }
 
-    let asof = Latencies::from_durations(asof_lat);
+    let asof = Latencies::from_durations(asof_best);
     report.metric("setup_s", median(&setups), "s", setups.len());
-    report.metric("ingest_ev_s", median(&ingest), "events/s", ingest.len());
+    report.metric("ingest_ev_s", ingest.iter().copied().fold(0.0, f64::max), "events/s", rounds);
     latency(report, "asof_p50_ms", &asof, 0.5, smoke);
     latency(report, "asof_p95_ms", &asof, 0.95, smoke);
-    report.metric("batch_s", median(&batch_s), "s", batch_s.len());
-    report.metric("peak_rss_mb", Usage::now().max_rss_kib as f64 / 1024.0, "MiB", 1);
+    report.metric("batch_s", batch_s, "s", rounds * BATCH_AUDITS_PER_ROUND);
+    report.metric("peak_rss_mb", peak_rss_mb, "MiB", 1);
     Ok(())
 }
 
@@ -292,82 +278,22 @@ fn generator_honesty(report: &mut Report, paced: &serving::Paced, late: &Latenci
     }
 }
 
-/// End-to-end run of repro-batch.
-fn batch_e2e(seed: u64, smoke: bool, report: &mut Report) -> io::Result<()> {
-    let mut setups = Vec::new();
-    for _ in 0..BATCH_SETUPS {
-        let t = Instant::now();
-        std::hint::black_box(batch::setup(seed));
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let (cfg, fig8) = batch_config(None, smoke);
-    let rep = batch::reproduce(&cfg, &fig8, seed);
-    let digest = batch::output_digest(&rep.compositions, &rep.reports);
-    println!("repro-batch digest = {digest:016x}");
-    match batch::reference_digest(seed).filter(|_| !smoke) {
-        Some(want) => report
-            .check(digest == want, || format!("digest {digest:016x} != reference {want:016x}")),
-        None => println!(
-            "no reference digest recorded for seed {seed}; thread invariance still checked"
-        ),
-    }
-    geosocial_par::set_max_threads(1);
-    let serial = batch::reproduce(&cfg, &fig8, seed);
-    geosocial_par::set_max_threads(nproc());
-    let serial_digest = batch::output_digest(&serial.compositions, &serial.reports);
-    report.check(serial_digest == digest, || {
-        format!("1-thread digest {serial_digest:016x} != {}-thread digest {digest:016x}", nproc())
-    });
-    drop(serial);
-
-    // In-process time travel: one user's events audited up to t.
-    let ds = &rep.primary;
-    let by_user = serving::events_by_user(ds);
-    let acfg = AuditConfig::paper(ds.pois.projection().origin());
-    // In-process queries are cheap; four times the served set keeps the
-    // tail from resting on a few users' histories.
-    let queries = serving::asof_queries(ds, &by_user, 4 * serving::ASOF_QUERIES, seed);
-    let mut asof_lat = Vec::new();
-    for q in &queries {
-        let mut fastest = Duration::MAX;
-        for _ in 0..serving::ASOF_REPEATS {
-            let t = Instant::now();
-            std::hint::black_box(serving::asof_answer(&by_user[&q.user], &acfg, q.t));
-            fastest = fastest.min(t.elapsed());
-        }
-        asof_lat.push(fastest);
-    }
-    // Audited to the end, the same path must give the batch composition.
-    let queried: BTreeSet<u32> = queries.iter().map(|q| q.user).collect();
-    for want in rep.compositions.iter().filter(|c| queried.contains(&c.user)) {
-        let got = serving::asof_answer(&by_user[&want.user], &acfg, i64::MAX);
-        let diff = serving::composition_mismatches(&got, want);
-        report.check(diff.is_empty(), || format!("full-range time travel != batch: {diff:?}"));
-    }
-
-    let events: usize = by_user.values().map(Vec::len).sum();
-    let asof = Latencies::from_durations(asof_lat);
-    report.metric("setup_s", median(&setups), "s", setups.len());
-    report.metric("ingest_ev_s", events as f64 / rep.analysis.as_secs_f64(), "events/s", 1);
-    latency(report, "asof_p50_ms", &asof, 0.5, smoke);
-    latency(report, "asof_p95_ms", &asof, 0.95, smoke);
-    report.metric("batch_s", rep.total.as_secs_f64(), "s", 1);
-    report.metric("peak_rss_mb", Usage::now().max_rss_kib as f64 / 1024.0, "MiB", 1);
-    Ok(())
-}
-
 /// Whole-process cost of one saturating replay.
 struct Saturated {
     cpu_ns_per_event: f64,
     ctx_per_frame: f64,
     shard_skew: f64,
     duplicates: f64,
+    /// Bytes the served event store holds per record, from its `DrainReport`.
+    store_bytes_per_record: f64,
+    store_records: u64,
 }
 
 /// One unverified saturating replay on fresh instances, with the
 /// process's CPU and context switches over it, less the population
 /// generation `loadgen::run` repeats before replaying; the served state
-/// is then checked against the batch compositions.
+/// is then checked against the batch compositions, and the served store
+/// reports its size.
 fn saturated_cost(
     spec: &ServingSpec,
     seed: u64,
@@ -381,6 +307,7 @@ fn saturated_cost(
     let r = serving::saturate(topo.front, spec, seed, false)?;
     let used = Usage::now().since(u0);
     let mismatches = serving::verify_served(topo.front, expected)?;
+    let drained = loadgen::drain_server(topo.front, false)?;
     topo.stop()?;
     report.attempts(r.frames_sent as u64, u64::from(r.retries) + r.resent_events as u64, || {
         format!("saturating replay retried {} times", r.retries)
@@ -399,6 +326,8 @@ fn saturated_cost(
             / r.frames_sent.max(1) as f64,
         shard_skew: if mean > 0.0 { max / mean } else { 0.0 },
         duplicates: r.server.duplicates as f64,
+        store_bytes_per_record: drained.store_bytes as f64 / drained.store_records.max(1) as f64,
+        store_records: drained.store_records,
     })
 }
 
@@ -406,13 +335,13 @@ fn saturated_cost(
 /// for the serving layers and on `batch_cfg` for the batch layers.
 fn traced(
     spec: &ServingSpec,
-    (batch_cfg, fig8): (geosocial_checkin::ScenarioConfig, Fig8Config),
     seed: u64,
     smoke: bool,
     scratch: &mut serving::Scratch,
     report: &mut Report,
 ) -> io::Result<()> {
     // Batch layers: the reproduction untimed-by-layer, then call by call.
+    let (batch_cfg, fig8) = batch_config(spec, smoke);
     let plain = batch::reproduce(&batch_cfg, &fig8, seed);
     let plain_digest = batch::output_digest(&plain.compositions, &plain.reports);
     let plain_total = plain.total;
@@ -450,11 +379,11 @@ fn traced(
     });
     let rt = layers::router_probe(&frames, 2);
 
-    let single = ServingSpec { router: false, ..*spec };
+    // The workload's own topology, then the same population through a
+    // router to two single-shard servers.
     let routed = ServingSpec { router: true, ..*spec };
-    let s1 = saturated_cost(&single, seed, populate_usage, &expected, scratch, report)?;
+    let s1 = saturated_cost(spec, seed, populate_usage, &expected, scratch, report)?;
     let s2 = saturated_cost(&routed, seed, populate_usage, &expected, scratch, report)?;
-    let own = if spec.router { &s2 } else { &s1 };
 
     let prefix = &frames[..frames.len() / PACED_PREFIX];
     let prefix_expected = serving::audit_events(ds, &serving::prefix_events(ds, prefix));
@@ -495,19 +424,24 @@ fn traced(
     report.metric("stream.state_items", st.state_items as f64, "count", by_user.len());
     report.metric("store.append_ns_per_event", sto.append_ns_per_event, "ns", events);
     report.metric("store.flush_ns_per_event", sto.flush_ns_per_event, "ns", events);
-    report.metric("store.bytes_per_event", sto.bytes_per_event, "bytes", events);
+    report.metric(
+        "store.bytes_per_event",
+        s1.store_bytes_per_record,
+        "bytes",
+        s1.store_records as usize,
+    );
     report.metric("store.query_us", sto.query_us, "us", queries.len());
     report.metric("stream.reaudit_us", sto.reaudit_us, "us", queries.len());
-    report.metric("serve.cpu_ns_per_event", own.cpu_ns_per_event, "ns", events);
-    report.metric("serve.ctx_switches_per_frame", own.ctx_per_frame, "count", nf);
+    report.metric("serve.cpu_ns_per_event", s1.cpu_ns_per_event, "ns", events);
+    report.metric("serve.ctx_switches_per_frame", s1.ctx_per_frame, "count", nf);
     report.metric(
         "serve.unattributed_ns_per_event",
-        own.cpu_ns_per_event - traced_per_event,
+        s1.cpu_ns_per_event - traced_per_event,
         "ns",
         events,
     );
-    report.metric("serve.shard_skew", own.shard_skew, "ratio", 1);
-    report.metric("serve.duplicates", own.duplicates, "count", 1);
+    report.metric("serve.shard_skew", s1.shard_skew, "ratio", 1);
+    report.metric("serve.duplicates", s1.duplicates, "count", 1);
     report.metric("router.peek_ns_per_frame", rt.peek_ns_per_frame, "ns", nf);
     report.metric("router.owner_ns_per_lookup", rt.owner_ns_per_lookup, "ns", nf);
     report.metric(

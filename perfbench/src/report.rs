@@ -1,15 +1,30 @@
 //! The run's result: named metrics, outcome counts and provenance.
 
+use serde::{Serialize, Value};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::process::Command;
 
-/// One reported metric.
+/// One reported metric; it serializes as the result line's
+/// `{"value", "unit"}`.
+#[derive(Serialize)]
 pub struct Metric {
+    #[serde(skip)]
     pub name: &'static str,
     pub value: f64,
     pub unit: &'static str,
     /// How many measurements the value summarizes.
+    #[serde(skip)]
     pub samples: usize,
+}
+
+/// The one-line JSON result.
+#[derive(Serialize)]
+struct Outcome {
+    correct: bool,
+    attempted: u64,
+    failed: u64,
+    metrics: HashMap<&'static str, Value>,
 }
 
 /// Everything one run prints.
@@ -66,54 +81,17 @@ impl Report {
         for f in &self.failures {
             let _ = writeln!(out, "failure: {f}");
         }
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|m| {
-                format!(
-                    "{}: {{\"value\": {}, \"unit\": {}}}",
-                    json_str(m.name),
-                    json_num(m.value),
-                    json_str(m.unit)
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
-            self.correct(),
-            self.attempted.max(1),
-            self.failed,
-            metrics.join(", ")
-        );
+        // A non-finite value serializes as null and makes the run incorrect.
+        let outcome = Outcome {
+            correct: self.correct(),
+            attempted: self.attempted.max(1),
+            failed: self.failed,
+            metrics: self.metrics.iter().map(|m| (m.name, m.to_value())).collect(),
+        };
+        let line = serde_json::to_string(&outcome).expect("the result serializes");
+        let _ = writeln!(out, "{line}");
         out
     }
-}
-
-/// JSON has no NaN or infinity; a non-finite value is printed as null
-/// (and already makes the run incorrect).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".into()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Where and how the numbers were produced.

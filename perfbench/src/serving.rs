@@ -28,8 +28,9 @@ pub const WINDOW: usize = 256;
 /// samples beyond it.
 pub const ASOF_QUERIES: usize = 256;
 
-/// Times each time-travel query is repeated; its latency is the fastest.
-pub const ASOF_REPEATS: usize = 3;
+/// Times each time-travel query is answered, at different moments; its
+/// latency is the fastest answer.
+pub const ASOF_PASSES: usize = 3;
 
 /// One serving workload's shape.
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +45,8 @@ pub struct ServingSpec {
     /// Route through a `geosocial-router` to two single-shard servers
     /// instead of serving from one two-shard server.
     pub router: bool,
+    /// Seconds one end-to-end round takes on the reference host.
+    pub round_s: f64,
 }
 
 /// Per-run directory for event stores, inside the working directory.
@@ -512,14 +515,11 @@ pub fn events_by_user(ds: &Dataset) -> HashMap<u32, Vec<StreamEvent>> {
     by_user
 }
 
-/// How far into a user's stream the time-travel watermarks fall: the
-/// first three days, the X13 experiment's watermark.
-const ASOF_HORIZON_S: i64 = 3 * 86_400;
-
-/// `n` queries drawn from `seed`: a user, and a time within the first
-/// [`ASOF_HORIZON_S`] of that user's events. The times are stratified
-/// (query `i` falls in the `i`-th of `n` equal slices of the horizon), so
-/// every seed asks for the same spread of history lengths.
+/// `n` queries drawn from `seed`. Query `i` asks for the `i`-th user of a
+/// seeded shuffle (cycling, so every user is asked about as often) at a
+/// time in the `i`-th of `n` equal slices of that user's span, from the
+/// first event to the last: every seed asks for the same spread of history
+/// lengths, up to the whole history.
 pub fn asof_queries(
     ds: &Dataset,
     by_user: &HashMap<u32, Vec<StreamEvent>>,
@@ -530,13 +530,16 @@ pub fn asof_queries(
     let mut users: Vec<u32> = by_user.keys().copied().collect();
     users.sort_unstable();
     let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xA5_0F_A5_0F);
+    for i in (1..users.len()).rev() {
+        users.swap(i, rng.gen_range(0..i + 1));
+    }
     (0..n as i64)
         .map(|i| {
-            let user = users[rng.gen_range(0..users.len())];
+            let user = users[i as usize % users.len()];
             let evs = &by_user[&user];
             let t0 = evs[0].t();
-            let offset = (i * ASOF_HORIZON_S + rng.gen_range(0..ASOF_HORIZON_S)) / n as i64;
-            let t = (t0 + offset).min(evs[evs.len() - 1].t());
+            let span = (evs[evs.len() - 1].t() - t0).max(1);
+            let t = t0 + (i * span + rng.gen_range(0..span)) / n as i64;
             let expected = asof_answer(evs, &cfg, t);
             AsOfQuery { user, t, expected }
         })
@@ -551,10 +554,8 @@ pub fn asof_answer(user_events: &[StreamEvent], cfg: &AuditConfig, t: i64) -> St
         .expect("the user has an event at or before t")
 }
 
-/// Send the query set on one connection. Each query goes out
-/// [`ASOF_REPEATS`] times in a row and its latency is the fastest of them:
-/// the query's service time, with bursts of host interference filtered
-/// out. Returns the latencies and the answers that differ from the oracle.
+/// Send the queries on one connection, one at a time. Returns each
+/// query's latency and the answers that differ from the oracle.
 pub fn asof_phase(
     addr: SocketAddr,
     queries: &[&AsOfQuery],
@@ -565,21 +566,17 @@ pub fn asof_phase(
     let mut lat = Vec::with_capacity(queries.len());
     let mut wrong = Vec::new();
     for q in queries {
-        let mut fastest = Duration::MAX;
-        for _ in 0..ASOF_REPEATS {
-            let t0 = Instant::now();
-            let req = Request::AsOf { user: q.user, t: q.t };
-            let resp = exchange(&mut stream, &mut reader, &mut buf, &req)?;
-            fastest = fastest.min(t0.elapsed());
-            match resp {
-                Response::AsOf { composition, .. } if composition == q.expected => {}
-                other => wrong.push(format!(
-                    "AsOf user {} t {}: got {other:?}, want {:?}",
-                    q.user, q.t, q.expected
-                )),
-            }
+        let t0 = Instant::now();
+        let req = Request::AsOf { user: q.user, t: q.t };
+        let resp = exchange(&mut stream, &mut reader, &mut buf, &req)?;
+        lat.push(t0.elapsed());
+        match resp {
+            Response::AsOf { composition, .. } if composition == q.expected => {}
+            other => wrong.push(format!(
+                "AsOf user {} t {}: got {other:?}, want {:?}",
+                q.user, q.t, q.expected
+            )),
         }
-        lat.push(fastest);
     }
     Ok((lat, wrong))
 }
@@ -626,7 +623,14 @@ mod tests {
     #[test]
     fn frames_cover_every_event_once_in_user_order() {
         let pop = populate(
-            &ServingSpec { users: 3, days: 1, run_len: 8, paced_ev_s: 1.0, router: false },
+            &ServingSpec {
+                users: 3,
+                days: 1,
+                run_len: 8,
+                paced_ev_s: 1.0,
+                router: false,
+                round_s: 1.0,
+            },
             5,
         );
         let all = dataset_events(&pop.dataset).len();

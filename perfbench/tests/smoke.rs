@@ -64,7 +64,7 @@ fn run(workload: &str, trace: u8) -> Value {
 fn every_workload_runs_correctly_and_prints_exactly_the_declared_metrics() {
     let bench = benchmark();
     let workloads = names(field(&bench, "workloads"));
-    assert_eq!(workloads, ["serve-run", "serve-frame", "router-run", "repro-batch"]);
+    assert_eq!(workloads, ["serve-run", "serve-frame"]);
     for (trace, list) in [(0, "end_to_end"), (1, "per_layer")] {
         let mut declared = names(field(&bench, list));
         declared.sort();
