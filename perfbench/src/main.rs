@@ -58,8 +58,8 @@ fn smoke(spec: ServingSpec) -> ServingSpec {
 
 /// Rounds per serving run at least; more as `--seconds` allows.
 const MIN_ROUNDS: usize = 6;
-/// Batch audits of the served population per round.
-const BATCH_AUDITS_PER_ROUND: usize = 20;
+/// One-thread batch audits of the served population per round.
+const BATCH_AUDITS_PER_ROUND: usize = 50;
 /// The traced run's paced phase covers the first `1 / PACED_PREFIX` of
 /// the frames.
 const PACED_PREFIX: usize = 3;
@@ -170,7 +170,9 @@ fn latency(report: &mut Report, name: &'static str, lat: &Latencies, p: f64, smo
 /// End-to-end run of a serving workload, in rounds so every metric
 /// samples the whole run. Each round is one saturating replay on fresh
 /// instances, a slice of the time-travel queries to that server, and batch
-/// audits of the same population. The number of rounds follows from
+/// audits of the same population on one thread, reported as checkins
+/// audited per second so that seeds whose populations hold more or fewer
+/// checkins compare. The number of rounds follows from
 /// `budget` and the workload's round time on the reference host, so a run
 /// does the same work however fast the host is.
 ///
@@ -178,7 +180,7 @@ fn latency(report: &mut Report, name: &'static str, lat: &Latencies, p: f64, smo
 /// that repeat the same work keep the repeat the host slowed least: the
 /// fastest replay, each time-travel query's fastest answer (slice `k` of
 /// the queries goes to the servers of `ASOF_PASSES` rounds spread evenly
-/// over the first `MIN_ROUNDS`, which hold the same events) and the
+/// over every `MIN_ROUNDS` rounds, which hold the same events) and the
 /// fastest batch audit. Set-up time is
 /// the median. Peak RSS is the process high-water mark after the first
 /// round: every later round raises it by what the allocator retained from
@@ -195,7 +197,8 @@ fn serving_e2e(
     let mut setups = Vec::new();
     let mut ingest = Vec::new();
     let mut asof_best: Vec<Duration> = Vec::new();
-    let mut batch_s = f64::INFINITY;
+    let mut batch_best = f64::INFINITY;
+    let mut checkins = 0;
     let mut peak_rss_mb = 0.0;
     let mut queries = None;
     for round in 0..rounds {
@@ -203,6 +206,7 @@ fn serving_e2e(
         let pop = serving::populate(spec, seed);
         let topo = Topology::start(spec, scratch)?;
         setups.push(t.elapsed().as_secs_f64());
+        checkins = pop.dataset.users.iter().map(|u| u.checkins.len()).sum::<usize>();
         let r = serving::saturate(topo.front, spec, seed, true)?;
         ingest.push(r.events_per_sec);
         report.attempts(
@@ -222,15 +226,9 @@ fn serving_e2e(
             serving::asof_queries(&pop.dataset, &by_user, serving::ASOF_QUERIES, seed)
         });
         asof_best.resize(queries.len(), Duration::MAX);
-        let slices: Vec<usize> = if round < MIN_ROUNDS {
-            let spacing = MIN_ROUNDS / serving::ASOF_PASSES;
-            (0..serving::ASOF_PASSES)
-                .map(|pass| (round + MIN_ROUNDS - pass * spacing) % MIN_ROUNDS)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for k in slices {
+        let spacing = MIN_ROUNDS / serving::ASOF_PASSES;
+        for pass in 0..serving::ASOF_PASSES {
+            let k = (round + MIN_ROUNDS - pass * spacing) % MIN_ROUNDS;
             let idx: Vec<usize> = (k..queries.len()).step_by(MIN_ROUNDS).collect();
             let slice: Vec<&serving::AsOfQuery> = idx.iter().map(|&i| &queries[i]).collect();
             let (lat, wrong) = serving::asof_phase(topo.front, &slice)?;
@@ -241,13 +239,22 @@ fn serving_e2e(
                 asof_best[i] = asof_best[i].min(d);
             }
         }
-        topo.stop()?;
 
+        // Batch audits on one thread while the server idles, then the
+        // last one's output checked against the served state.
+        geosocial_par::set_max_threads(1);
+        let mut audited = Vec::new();
         for _ in 0..BATCH_AUDITS_PER_ROUND {
             let t = Instant::now();
-            std::hint::black_box(batch::audit(&pop.dataset));
-            batch_s = batch_s.min(t.elapsed().as_secs_f64());
+            audited = std::hint::black_box(batch::audit(&pop.dataset));
+            batch_best = batch_best.min(t.elapsed().as_secs_f64());
         }
+        geosocial_par::set_max_threads(nproc());
+        let wrong = serving::verify_served(topo.front, &audited)?;
+        report.attempts(audited.len() as u64, wrong.len() as u64, || {
+            format!("one-thread batch audit != served: {wrong:?}")
+        });
+        topo.stop()?;
         if round == 0 {
             peak_rss_mb = Usage::now().max_rss_kib as f64 / 1024.0;
         }
@@ -258,7 +265,12 @@ fn serving_e2e(
     report.metric("ingest_ev_s", ingest.iter().copied().fold(0.0, f64::max), "events/s", rounds);
     latency(report, "asof_p50_ms", &asof, 0.5, smoke);
     latency(report, "asof_p95_ms", &asof, 0.95, smoke);
-    report.metric("batch_s", batch_s, "s", rounds * BATCH_AUDITS_PER_ROUND);
+    report.metric(
+        "batch_checkins_s",
+        checkins as f64 / batch_best,
+        "checkins/s",
+        rounds * BATCH_AUDITS_PER_ROUND,
+    );
     report.metric("peak_rss_mb", peak_rss_mb, "MiB", 1);
     Ok(())
 }

@@ -28,8 +28,8 @@ pub const WINDOW: usize = 256;
 /// samples beyond it.
 pub const ASOF_QUERIES: usize = 256;
 
-/// Times each time-travel query is answered, at different moments; its
-/// latency is the fastest answer.
+/// Times each time-travel query is answered in every six rounds
+/// (`MIN_ROUNDS`), at different moments; its latency is the fastest answer.
 pub const ASOF_PASSES: usize = 3;
 
 /// One serving workload's shape.
