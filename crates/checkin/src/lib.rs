@@ -32,5 +32,8 @@ pub mod simulate;
 
 pub use behavior::{Archetype, BehaviorConfig, UserBehavior};
 pub use incentives::{compute_profile, IncentiveConfig, MayorshipBoard};
-pub use scenario::{substream_seed, Scenario, ScenarioConfig};
+pub use scenario::{
+    build_cohort, draft_user, jitter_days, scenario_city, substream_seed, table1_cohort, user_rng,
+    Draft, Scenario, ScenarioConfig,
+};
 pub use simulate::simulate_checkins;

@@ -10,6 +10,11 @@
 //! over a shared city. Both views of each user (GPS and checkins) derive
 //! from one ground-truth itinerary, so matching them back together exercises
 //! exactly the structure of the paper's analysis.
+//!
+//! [`build_cohort`] is the workspace's one cohort builder: per-user drafts
+//! on the [`scenario_city`] in, mayorship barrier, then the per-user render.
+//! Both Table-1 cohorts and every scenario family (`geosocial-scenario`)
+//! go through it.
 
 use crate::behavior::BehaviorConfig;
 use crate::incentives::{compute_profile, IncentiveConfig, MayorshipBoard};
@@ -99,28 +104,9 @@ impl Scenario {
     /// independently — in parallel across the `geosocial-par` pool — and
     /// the output is **bit-identical for every thread count**.
     pub fn generate(config: &ScenarioConfig, seed: u64) -> Scenario {
-        let mut city_rng = ChaCha12Rng::seed_from_u64(substream_seed(seed, 0, 0));
-        let universe = generate_city(&config.city, &mut city_rng);
-        let primary = build_cohort(
-            "Primary",
-            &universe,
-            config,
-            BehaviorConfig::Primary,
-            config.primary_users,
-            config.primary_days,
-            seed,
-            1,
-        );
-        let baseline = build_cohort(
-            "Baseline",
-            &universe,
-            config,
-            BehaviorConfig::Baseline,
-            config.baseline_users,
-            config.baseline_days,
-            seed,
-            2,
-        );
+        let universe = scenario_city(config, seed);
+        let primary = table1_cohort(&universe, config, seed, BehaviorConfig::Primary);
+        let baseline = table1_cohort(&universe, config, seed, BehaviorConfig::Baseline);
         Scenario { config: config.clone(), primary, baseline }
     }
 
@@ -147,52 +133,100 @@ pub fn substream_seed(seed: u64, cohort: u64, uid: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_cohort(
+/// The private RNG stream of `(seed, tag, uid)`.
+pub fn user_rng(seed: u64, tag: u64, uid: u32) -> ChaCha12Rng {
+    ChaCha12Rng::seed_from_u64(substream_seed(seed, tag, uid as u64))
+}
+
+/// The scenario's city, drawn from its own stream `(seed, 0, 0)`: every
+/// cohort and every scenario family of one seed plays out on this map.
+pub fn scenario_city(config: &ScenarioConfig, seed: u64) -> PoiUniverse {
+    generate_city(&config.city, &mut user_rng(seed, 0, 0))
+}
+
+/// Per-user coverage jitter around the cohort mean, as in the study:
+/// ±⅓ of the mean, floored at 3 days.
+pub fn jitter_days<R: Rng>(mean_days: u32, rng: &mut R) -> u32 {
+    (mean_days as i64 + rng.gen_range(-(mean_days as i64) / 3..=(mean_days as i64) / 3)).max(3)
+        as u32
+}
+
+/// One user between the draw pass and the render pass of
+/// [`build_cohort`].
+pub struct Draft {
+    /// Ground-truth itinerary.
+    pub itinerary: Itinerary,
+    /// The checkins the user files.
+    pub checkins: Vec<Checkin>,
+    /// Social activity multiplier for the profile.
+    pub sociability: f64,
+    /// Nominal measurement days.
+    pub days: f64,
+    /// The user's private stream, carried so the render pass continues
+    /// exactly where the draw pass left off.
+    pub rng: ChaCha12Rng,
+}
+
+/// Draw one routine user of `behavior`'s archetype mixture from its
+/// private stream `(seed, tag, uid)`: preferences, coverage, itinerary,
+/// behavior and checkins.
+pub fn draft_user(
+    uid: u32,
+    universe: &PoiUniverse,
+    config: &ScenarioConfig,
+    behavior: BehaviorConfig,
+    mean_days: u32,
+    seed: u64,
+    tag: u64,
+) -> Draft {
+    let mut rng = user_rng(seed, tag, uid);
+    let prefs = assign_prefs(uid, universe, &mut rng);
+    let days = jitter_days(mean_days, &mut rng);
+    let itinerary = generate_itinerary(&prefs, universe, days, &config.routine, &mut rng);
+    let behavior = behavior.sample(&mut rng);
+    let checkins = simulate_checkins(&itinerary, universe, &behavior, &mut rng);
+    Draft { itinerary, checkins, sociability: behavior.sociability, days: days as f64, rng }
+}
+
+/// One of Table 1's cohorts over `universe`: `Primary` users draw from
+/// stream tag 1, `Baseline` users from tag 2.
+pub fn table1_cohort(
+    universe: &PoiUniverse,
+    config: &ScenarioConfig,
+    seed: u64,
+    behavior: BehaviorConfig,
+) -> Dataset {
+    let (name, users, days, tag) = match behavior {
+        BehaviorConfig::Primary => ("Primary", config.primary_users, config.primary_days, 1),
+        BehaviorConfig::Baseline => ("Baseline", config.baseline_users, config.baseline_days, 2),
+    };
+    let uids: Vec<u32> = (0..users).collect();
+    let drafts = geosocial_par::par_map(&uids, |&uid| {
+        draft_user(uid, universe, config, behavior, days, seed, tag)
+    });
+    build_cohort(name, universe, config, drafts)
+}
+
+/// Render drafts into a cohort: the mayorship contest over the whole
+/// cohort's checkins (a global barrier), then per user, in parallel, GPS,
+/// visits and profile, each continuing the user's private stream. Checkin
+/// streams are sorted first: the board and the matcher expect
+/// chronological order, and families that splice in extra events may
+/// leave them unsorted.
+pub fn build_cohort(
     name: &str,
     universe: &PoiUniverse,
     config: &ScenarioConfig,
-    behavior_cfg: BehaviorConfig,
-    n_users: u32,
-    mean_days: u32,
-    seed: u64,
-    cohort_tag: u64,
+    mut drafts: Vec<Draft>,
 ) -> Dataset {
-    struct Draft {
-        itinerary: Itinerary,
-        checkins: Vec<Checkin>,
-        sociability: f64,
-        days: f64,
-        /// The user's private stream, carried across passes so pass 3
-        /// continues exactly where pass 1 left off.
-        rng: ChaCha12Rng,
+    for d in &mut drafts {
+        d.checkins.sort_by_key(|c| c.t);
     }
-
-    let uids: Vec<u32> = (0..n_users).collect();
-
-    // Pass 1: generate movement and checkins, one private stream per user.
-    let drafts: Vec<Draft> = geosocial_par::par_map(&uids, |&uid| {
-        let mut rng = ChaCha12Rng::seed_from_u64(substream_seed(seed, cohort_tag, uid as u64));
-        let prefs = assign_prefs(uid, universe, &mut rng);
-        // Coverage varies per user around the cohort mean, as in the study.
-        let days = (mean_days as i64
-            + rng.gen_range(-(mean_days as i64) / 3..=(mean_days as i64) / 3))
-        .max(3) as u32;
-        let itinerary = generate_itinerary(&prefs, universe, days, &config.routine, &mut rng);
-        let behavior = behavior_cfg.sample(&mut rng);
-        let checkins = simulate_checkins(&itinerary, universe, &behavior, &mut rng);
-        Draft { itinerary, checkins, sociability: behavior.sociability, days: days as f64, rng }
-    });
-
-    // Pass 2: the mayorship contest needs the whole cohort's checkins —
-    // a global barrier between the per-user passes.
     let streams: Vec<(UserId, &[Checkin])> =
         drafts.iter().enumerate().map(|(i, d)| (i as UserId, d.checkins.as_slice())).collect();
     let now = drafts.iter().filter_map(|d| d.itinerary.span().map(|(_, e)| e)).max().unwrap_or(0);
     let board = MayorshipBoard::compute(&streams, now, &config.incentives);
 
-    // Pass 3: render GPS, detect visits, assemble profiles — again
-    // per-user, each continuing its own pass-1 stream.
     let rendered = geosocial_par::par_map_indexed(&drafts, |uid, draft| {
         let uid = uid as UserId;
         let mut rng = draft.rng.clone();

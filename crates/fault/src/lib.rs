@@ -38,18 +38,9 @@
 //! the counters stay available in both modes so CLIs and reports behave
 //! identically.
 
+use geosocial_obs::mix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// splitmix64: the workspace's standard cheap mixing function (same
-/// derivation style as `geosocial-par` worker seeds and the server's
-/// user→shard hash).
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Mix several words into one decision hash.
 fn mix_all(words: &[u64]) -> u64 {

@@ -51,3 +51,14 @@ pub use crate::metrics::{
     HistSnapshot, Histogram, HistoryPoint, Snapshot,
 };
 pub use crate::span::{span, Span, Stopwatch};
+
+/// splitmix64 finalizer: the workspace's one cheap 64-bit mixing function.
+/// Trace sampling and ids, the server's user→shard hash, the cluster's
+/// rendezvous ownership and the fault plans all hash with it.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -41,6 +41,7 @@
 //! (the wire still parses traced frames) but every recording operation
 //! compiles to nothing and [`enabled`] returns `false`.
 
+use crate::mix64;
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicUsize;
 #[cfg(not(feature = "noop"))]
@@ -72,16 +73,6 @@ pub const PROMOTE_MASK: u8 = FLAG_RETRY | FLAG_DEDUP | FLAG_RECOVERY | FLAG_SLOW
 pub const DEFAULT_SAMPLE_DENOM: u64 = 64;
 /// Default root-span latency above which a trace is tail-promoted (µs).
 pub const DEFAULT_SLOW_US: u64 = 10_000;
-
-/// splitmix64 finalizer — the same mixer the shard router and fault plans
-/// use, duplicated here so `obs` stays dependency-free.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// Whether tracing is compiled in (`false` under the `noop` feature).
 #[inline]

@@ -1,12 +1,13 @@
 //! The `baseline` family: the paper's primary cohort behind the trait.
 
 use crate::{Population, PopulationConfig, ScenarioFamily, UserRole};
-use geosocial_checkin::Scenario;
+use geosocial_checkin::{scenario_city, table1_cohort, BehaviorConfig};
 
 /// Today's POI-routine population, unchanged: the primary cohort of the
 /// core generator. The default workload of `geosocial-loadgen`, so its
-/// output must stay byte-identical to the pre-registry path — it delegates
-/// straight to [`Scenario::generate`] with the wrapped config.
+/// output must stay byte-identical to `Scenario::generate(..).primary` —
+/// it builds that one cohort on the same city, without the baseline
+/// cohort `Scenario::generate` would draw alongside.
 pub struct Baseline;
 
 impl ScenarioFamily for Baseline {
@@ -19,8 +20,9 @@ impl ScenarioFamily for Baseline {
     }
 
     fn populate(&self, cfg: &PopulationConfig, seed: u64) -> Population {
-        let sc = Scenario::generate(&cfg.base, seed);
-        let roles = vec![UserRole::Regular; sc.primary.users.len()];
-        Population { dataset: sc.primary, roles }
+        let universe = scenario_city(&cfg.base, seed);
+        let dataset = table1_cohort(&universe, &cfg.base, seed, BehaviorConfig::Primary);
+        let roles = vec![UserRole::Regular; dataset.users.len()];
+        Population { dataset, roles }
     }
 }

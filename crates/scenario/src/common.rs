@@ -1,15 +1,9 @@
-//! Shared machinery: sizing config, per-user draft, and the
-//! barrier-then-render assembly every family funnels through.
+//! Shared machinery: the sizing config, and the thin glue from a family's
+//! drafts to `geosocial-checkin`'s cohort builder.
 
 use crate::{Population, UserRole};
-use geosocial_checkin::{
-    compute_profile, simulate_checkins, substream_seed, BehaviorConfig, MayorshipBoard,
-    ScenarioConfig,
-};
-use geosocial_mobility::{assign_prefs, generate_city, generate_itinerary, Itinerary};
-use geosocial_trace::{detect_visits, Checkin, Dataset, PoiUniverse, Provenance, UserData, UserId};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
+use geosocial_checkin::{build_cohort, draft_user, BehaviorConfig, Draft, ScenarioConfig};
+use geosocial_trace::{Checkin, PoiUniverse, Provenance};
 use serde::{Deserialize, Serialize};
 
 /// Sizing and physics knobs shared by every family.
@@ -42,40 +36,6 @@ impl PopulationConfig {
     }
 }
 
-/// Per-user intermediate state between the generation pass and the
-/// render pass — the family-agnostic half of the core generator's
-/// three-pass cohort build.
-pub(crate) struct Draft {
-    pub itinerary: Itinerary,
-    pub checkins: Vec<Checkin>,
-    pub sociability: f64,
-    pub days: f64,
-    pub role: UserRole,
-    /// The user's private stream, carried so the render pass continues
-    /// exactly where the generation pass left off.
-    pub rng: ChaCha12Rng,
-}
-
-/// The family's city. Uses the *same* RNG stream as the core generator,
-/// so for a given seed every family plays out on the same map — families
-/// differ by behavior, not geography.
-pub(crate) fn family_city(cfg: &PopulationConfig, seed: u64) -> PoiUniverse {
-    let mut rng = ChaCha12Rng::seed_from_u64(substream_seed(seed, 0, 0));
-    generate_city(&cfg.base.city, &mut rng)
-}
-
-/// The private RNG stream of `(seed, tag, uid)`.
-pub(crate) fn user_rng(seed: u64, tag: u64, uid: u32) -> ChaCha12Rng {
-    ChaCha12Rng::seed_from_u64(substream_seed(seed, tag, uid as u64))
-}
-
-/// Per-user coverage jitter around the cohort mean, as in the core
-/// generator: ±⅓ of the mean, floored at 3 days.
-pub(crate) fn jitter_days<R: Rng>(mean_days: u32, rng: &mut R) -> u32 {
-    (mean_days as i64 + rng.gen_range(-(mean_days as i64) / 3..=(mean_days as i64) / 3)).max(3)
-        as u32
-}
-
 /// One ordinary primary-cohort user: routine itinerary, archetype-mixture
 /// behavior, simulated checkins. The building block the `tourists`,
 /// `mayor-ring` and `spoof-swarm` families reuse for their non-special
@@ -86,15 +46,8 @@ pub(crate) fn primary_draft(
     cfg: &PopulationConfig,
     seed: u64,
     tag: u64,
-    role: UserRole,
 ) -> Draft {
-    let mut rng = user_rng(seed, tag, uid);
-    let prefs = assign_prefs(uid, universe, &mut rng);
-    let days = jitter_days(cfg.days(), &mut rng);
-    let itinerary = generate_itinerary(&prefs, universe, days, &cfg.base.routine, &mut rng);
-    let behavior = BehaviorConfig::Primary.sample(&mut rng);
-    let checkins = simulate_checkins(&itinerary, universe, &behavior, &mut rng);
-    Draft { itinerary, checkins, sociability: behavior.sociability, days: days as f64, role, rng }
+    draft_user(uid, universe, &cfg.base, BehaviorConfig::Primary, cfg.days(), seed, tag)
 }
 
 /// A checkin as the service records it: the POI's category and coordinates,
@@ -109,55 +62,14 @@ pub(crate) fn mk_checkin(
     Checkin { t, poi, category: p.category, location: p.location, provenance: Some(provenance) }
 }
 
-/// Render drafts into a [`Population`]: the mayorship barrier, then the
-/// parallel GPS/visit/profile pass — mirroring the core generator's
-/// passes 2 and 3, with each user continuing its private stream.
+/// Render role-tagged drafts into a [`Population`] through the one cohort
+/// builder, [`geosocial_checkin::build_cohort`].
 pub(crate) fn assemble(
     name: &str,
     universe: &PoiUniverse,
     cfg: &PopulationConfig,
-    mut drafts: Vec<Draft>,
+    drafts: Vec<(Draft, UserRole)>,
 ) -> Population {
-    // Families that splice extra events (ring schedules, spoof bursts)
-    // may leave streams unsorted; the board and the matcher expect
-    // chronological order.
-    for d in &mut drafts {
-        d.checkins.sort_by_key(|c| c.t);
-    }
-
-    let streams: Vec<(UserId, &[Checkin])> =
-        drafts.iter().enumerate().map(|(i, d)| (i as UserId, d.checkins.as_slice())).collect();
-    let now = drafts.iter().filter_map(|d| d.itinerary.span().map(|(_, e)| e)).max().unwrap_or(0);
-    let board = MayorshipBoard::compute(&streams, now, &cfg.base.incentives);
-
-    let rendered = geosocial_par::par_map_indexed(&drafts, |uid, draft| {
-        let uid = uid as UserId;
-        let mut rng = draft.rng.clone();
-        let gps =
-            geosocial_mobility::simulate_gps(&draft.itinerary, universe, &cfg.base.gps, &mut rng);
-        let visits = detect_visits(&gps, &cfg.base.visit, Some(universe));
-        let profile = compute_profile(
-            uid,
-            &draft.checkins,
-            draft.days,
-            draft.sociability,
-            &board,
-            &cfg.base.incentives,
-            &mut rng,
-        );
-        (gps, visits, profile)
-    });
-
-    let mut roles = Vec::with_capacity(drafts.len());
-    let users = drafts
-        .into_iter()
-        .zip(rendered)
-        .enumerate()
-        .map(|(uid, (draft, (gps, visits, profile)))| {
-            roles.push(draft.role);
-            UserData::new(uid as UserId, gps, visits, draft.checkins, profile)
-        })
-        .collect();
-
-    Population { dataset: Dataset { name: name.into(), pois: universe.clone(), users }, roles }
+    let (drafts, roles) = drafts.into_iter().unzip();
+    Population { dataset: build_cohort(name, universe, &cfg.base, drafts), roles }
 }

@@ -13,9 +13,11 @@
 //!    exploratory, or a preferential return (parallel, continuing each
 //!    user's stream).
 
-use crate::common::{family_city, jitter_days, user_rng, Draft, PopulationConfig};
+use crate::common::PopulationConfig;
 use crate::{Population, ScenarioFamily, UserRole};
-use geosocial_checkin::{simulate_checkins, BehaviorConfig, UserBehavior};
+use geosocial_checkin::{
+    jitter_days, scenario_city, simulate_checkins, user_rng, BehaviorConfig, Draft, UserBehavior,
+};
 use geosocial_mobility::{assign_prefs, Itinerary, RoutineConfig, TrueStop, UserPrefs};
 use geosocial_trace::{PoiId, PoiUniverse, DAY, HOUR, MINUTE};
 use rand::Rng;
@@ -54,7 +56,7 @@ impl ScenarioFamily for GeoSim {
     }
 
     fn populate(&self, cfg: &PopulationConfig, seed: u64) -> Population {
-        let universe = family_city(cfg, seed);
+        let universe = scenario_city(&cfg.base, seed);
         let uids: Vec<u32> = (0..cfg.users()).collect();
 
         // Pass 1: venue attachments and behavior, one private stream each.
@@ -71,7 +73,7 @@ impl ScenarioFamily for GeoSim {
         let friends = similarity_graph(&seeded, &universe);
 
         // Pass 2: the exploration/return walk, continuing each stream.
-        let drafts: Vec<Draft> = geosocial_par::par_map_indexed(&seeded, |i, s| {
+        let drafts = geosocial_par::par_map_indexed(&seeded, |i, s| {
             let mut rng = s.rng.clone();
             let itinerary = social_walk(
                 &s.prefs,
@@ -83,14 +85,14 @@ impl ScenarioFamily for GeoSim {
                 &mut rng,
             );
             let checkins = simulate_checkins(&itinerary, &universe, &s.behavior, &mut rng);
-            Draft {
+            let draft = Draft {
                 itinerary,
                 checkins,
                 sociability: s.behavior.sociability,
                 days: s.days as f64,
-                role: UserRole::Regular,
                 rng,
-            }
+            };
+            (draft, UserRole::Regular)
         });
 
         crate::common::assemble("GeoSim", &universe, cfg, drafts)

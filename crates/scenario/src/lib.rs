@@ -20,9 +20,12 @@
 //!
 //! Every family draws each user from a private RNG stream derived with the
 //! same splitmix64 fan-out as the core generator
-//! ([`geosocial_checkin::substream_seed`]), so populations are
+//! ([`geosocial_checkin::substream_seed`]), and renders its per-user drafts
+//! through the core generator's one cohort builder
+//! ([`geosocial_checkin::build_cohort`]), so populations are
 //! **bit-identical for every thread count** — the property the serving
-//! equivalence oracle and the thread-invariance tests rely on.
+//! equivalence oracle and the thread-invariance tests rely on. `baseline`
+//! is the core generator's primary cohort alone, byte for byte.
 
 mod baseline;
 mod common;

@@ -7,9 +7,9 @@
 //! the baseline population, so the ring's extraneous rate stands out
 //! against an ordinary background.
 
-use crate::common::{family_city, mk_checkin, primary_draft, Draft, PopulationConfig};
+use crate::common::{mk_checkin, primary_draft, PopulationConfig};
 use crate::{Population, ScenarioFamily, UserRole};
-use geosocial_checkin::substream_seed;
+use geosocial_checkin::{scenario_city, substream_seed};
 use geosocial_trace::{PoiCategory, PoiId, Provenance, DAY, HOUR, MINUTE};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -32,7 +32,7 @@ impl ScenarioFamily for MayorRing {
     }
 
     fn populate(&self, cfg: &PopulationConfig, seed: u64) -> Population {
-        let universe = family_city(cfg, seed);
+        let universe = scenario_city(&cfg.base, seed);
         let n = cfg.users();
         let ring_size = (n / 8).max(3).min(n);
 
@@ -67,10 +67,10 @@ impl ScenarioFamily for MayorRing {
             .collect();
 
         let uids: Vec<u32> = (0..n).collect();
-        let drafts: Vec<Draft> = geosocial_par::par_map(&uids, |&uid| {
+        let drafts = geosocial_par::par_map(&uids, |&uid| {
             let in_ring = uid < ring_size;
             let role = if in_ring { UserRole::RingMember } else { UserRole::Regular };
-            let mut draft = primary_draft(uid, &universe, cfg, seed, TAG, role);
+            let mut draft = primary_draft(uid, &universe, cfg, seed, TAG);
             if in_ring {
                 // Fire the shared schedule with a private per-member jitter,
                 // clamped to the member's own coverage window.
@@ -82,7 +82,7 @@ impl ScenarioFamily for MayorRing {
                     }
                 }
             }
-            draft
+            (draft, role)
         });
         crate::common::assemble("MayorRing", &universe, cfg, drafts)
     }

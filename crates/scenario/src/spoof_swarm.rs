@@ -9,8 +9,9 @@
 //! sprays tight driveby bursts, the half of the attack the inter-arrival
 //! burst detector *can* catch.
 
-use crate::common::{family_city, mk_checkin, primary_draft, user_rng, Draft, PopulationConfig};
+use crate::common::{mk_checkin, primary_draft, PopulationConfig};
 use crate::{Population, ScenarioFamily, UserRole};
+use geosocial_checkin::{scenario_city, user_rng, Draft};
 use geosocial_mobility::{Itinerary, TrueStop};
 use geosocial_trace::{PoiId, PoiUniverse, Provenance, DAY, HOUR, MINUTE};
 use rand::Rng;
@@ -31,15 +32,15 @@ impl ScenarioFamily for SpoofSwarm {
     }
 
     fn populate(&self, cfg: &PopulationConfig, seed: u64) -> Population {
-        let universe = family_city(cfg, seed);
+        let universe = scenario_city(&cfg.base, seed);
         let n = cfg.users();
         let swarm_size = (n / 6).max(3).min(n);
         let uids: Vec<u32> = (0..n).collect();
-        let drafts: Vec<Draft> = geosocial_par::par_map(&uids, |&uid| {
+        let drafts = geosocial_par::par_map(&uids, |&uid| {
             if uid < swarm_size {
-                spoofer_draft(uid, &universe, cfg, seed)
+                (spoofer_draft(uid, &universe, cfg, seed), UserRole::Spoofer)
             } else {
-                primary_draft(uid, &universe, cfg, seed, TAG, UserRole::Regular)
+                (primary_draft(uid, &universe, cfg, seed, TAG), UserRole::Regular)
             }
         });
         crate::common::assemble("SpoofSwarm", &universe, cfg, drafts)
@@ -122,7 +123,6 @@ fn spoofer_draft(uid: u32, universe: &PoiUniverse, cfg: &PopulationConfig, seed:
         checkins,
         sociability: 0.2 + rng.gen_range(0.0..=0.3),
         days: days as f64,
-        role: UserRole::Spoofer,
         rng,
     }
 }

@@ -8,9 +8,11 @@
 //! gives the detectors a population where prevalence, not behavior noise,
 //! drives the precision/recall trade-off.
 
-use crate::common::{family_city, mk_checkin, primary_draft, user_rng, Draft, PopulationConfig};
+use crate::common::{mk_checkin, primary_draft, PopulationConfig};
 use crate::{Population, ScenarioFamily, UserRole};
-use geosocial_checkin::{simulate_checkins, Archetype, UserBehavior};
+use geosocial_checkin::{
+    scenario_city, simulate_checkins, user_rng, Archetype, Draft, UserBehavior,
+};
 use geosocial_mobility::{Itinerary, TrueStop};
 use geosocial_trace::{PoiCategory, PoiId, PoiUniverse, Provenance, DAY, HOUR, MINUTE};
 use rand::Rng;
@@ -33,13 +35,13 @@ impl ScenarioFamily for Tourists {
     }
 
     fn populate(&self, cfg: &PopulationConfig, seed: u64) -> Population {
-        let universe = family_city(cfg, seed);
+        let universe = scenario_city(&cfg.base, seed);
         let uids: Vec<u32> = (0..cfg.users()).collect();
-        let drafts: Vec<Draft> = geosocial_par::par_map(&uids, |&uid| {
+        let drafts = geosocial_par::par_map(&uids, |&uid| {
             if uid % 10 < TOURISTS_PER_10 {
-                tourist_draft(uid, &universe, cfg, seed)
+                (tourist_draft(uid, &universe, cfg, seed), UserRole::Tourist)
             } else {
-                primary_draft(uid, &universe, cfg, seed, TAG, UserRole::Resident)
+                (primary_draft(uid, &universe, cfg, seed, TAG), UserRole::Resident)
             }
         });
         crate::common::assemble("Tourists", &universe, cfg, drafts)
@@ -137,12 +139,5 @@ fn tourist_draft(uid: u32, universe: &PoiUniverse, cfg: &PopulationConfig, seed:
         let t = rng.gen_range(22 * HOUR..23 * HOUR);
         checkins.push(mk_checkin(universe, t, venue, Provenance::Remote));
     }
-    Draft {
-        itinerary,
-        checkins,
-        sociability: behavior.sociability,
-        days: stay_days as f64,
-        role: UserRole::Tourist,
-        rng,
-    }
+    Draft { itinerary, checkins, sociability: behavior.sociability, days: stay_days as f64, rng }
 }

@@ -30,7 +30,7 @@
 use std::net::SocketAddr;
 
 use crate::protocol::{ShardEntryInfo, ShardMapInfo};
-use geosocial_fault::mix64;
+use geosocial_obs::mix64;
 
 /// Salt folded into the entry-id hash so entry ids (small integers) and
 /// user ids (small integers) never feed identical mixes.

@@ -295,7 +295,7 @@ impl ServerConfig {
 /// the shard count. Every layer (server, load generator, tests) uses this
 /// same map, giving clients per-user connection affinity for free.
 pub fn shard_of(user: UserId, shards: usize) -> usize {
-    (geosocial_fault::mix64(user as u64) % shards.max(1) as u64) as usize
+    (geosocial_obs::mix64(user as u64) % shards.max(1) as u64) as usize
 }
 
 /// A request routed to one shard, with the channel its answer goes back
@@ -1040,7 +1040,7 @@ fn shard_worker(
 /// Fold a 128-bit trace id into the store's u32 user-key space (never the
 /// sentinel), so a trace's spans share one `(user, t)` index chain.
 pub(crate) fn trace_user_key(trace_id: u128) -> u32 {
-    let folded = geosocial_fault::mix64((trace_id as u64) ^ ((trace_id >> 64) as u64));
+    let folded = geosocial_obs::mix64((trace_id as u64) ^ ((trace_id >> 64) as u64));
     let key = (folded ^ (folded >> 32)) as u32;
     if key == SENTINEL_USER {
         0

@@ -1,7 +1,7 @@
 //! Byte codecs between shard state and the event store.
 //!
-//! Two layers, both built on `geosocial-store`'s scalar codec (the same
-//! varint/zigzag/f64 forms the binary wire speaks):
+//! Two layers, both built on `geosocial-store`'s scalar codec (which the
+//! binary wire uses too):
 //!
 //! * **Event payloads** — what one stored log record's body carries beyond
 //!   the `(user, t)` header the store frames itself. Ingest events encode
@@ -101,7 +101,7 @@ pub(crate) fn decode_event(rec: &StoredRecord) -> Result<Request, CodecError> {
             user: rec.user,
             seq: r.varint()?,
             t: rec.t,
-            poi: u32_field(&mut r, "poi id")?,
+            poi: r.u32_field("poi id")?,
             lat: r.f64()?,
             lon: r.f64()?,
         },
@@ -175,12 +175,6 @@ pub(crate) fn decode_span(
 
 fn err_at(r: &Reader<'_>, detail: impl Into<String>) -> CodecError {
     CodecError { offset: r.pos(), detail: detail.into() }
-}
-
-fn u32_field(r: &mut Reader<'_>, what: &str) -> Result<u32, CodecError> {
-    let v = r.varint()?;
-    u32::try_from(v)
-        .map_err(|_| CodecError { offset: r.pos(), detail: format!("{what} {v} > u32::MAX") })
 }
 
 fn usize_field(r: &mut Reader<'_>) -> Result<usize, CodecError> {
@@ -264,7 +258,7 @@ fn put_checkin(out: &mut Vec<u8>, c: &Checkin) {
 
 fn read_checkin(r: &mut Reader<'_>) -> Result<Checkin, CodecError> {
     let t = r.zigzag()?;
-    let poi = u32_field(r, "poi id")?;
+    let poi = r.u32_field("poi id")?;
     let cat = r.byte()? as usize;
     let category = *PoiCategory::ALL
         .get(cat)
@@ -299,7 +293,7 @@ fn put_verdict(out: &mut Vec<u8>, v: &AuditVerdict) {
 }
 
 fn read_verdict(r: &mut Reader<'_>) -> Result<AuditVerdict, CodecError> {
-    let user = u32_field(r, "user id")?;
+    let user = r.u32_field("user id")?;
     let checkin_index = usize_field(r)?;
     let t = r.zigzag()?;
     let kind = match r.byte()? {
@@ -346,7 +340,7 @@ fn put_comp(out: &mut Vec<u8>, c: &StreamComposition) {
 
 fn read_comp(r: &mut Reader<'_>) -> Result<StreamComposition, CodecError> {
     Ok(StreamComposition {
-        user: u32_field(r, "user id")?,
+        user: r.u32_field("user id")?,
         total_checkins: usize_field(r)?,
         honest: usize_field(r)?,
         superfluous: usize_field(r)?,
@@ -481,7 +475,7 @@ fn put_auditor(out: &mut Vec<u8>, a: &AuditorState) {
 }
 
 fn read_auditor(r: &mut Reader<'_>) -> Result<AuditorState, CodecError> {
-    let user = u32_field(r, "user id")?;
+    let user = r.u32_field("user id")?;
     let detector = read_detector(r)?;
     let n = usize_field(r)?;
     let mut gps_window = Vec::with_capacity(n.min(1024));
@@ -623,7 +617,7 @@ pub(crate) fn decode_state(bytes: &[u8], config: &ServerConfig) -> Result<ShardS
     let users = usize_field(&mut r)?;
     state.stats.users = users;
     for slot in 0..users {
-        let user = u32_field(&mut r, "user id")?;
+        let user = r.u32_field("user id")?;
         let next_seq = r.varint()?;
         let astate = read_auditor(&mut r)?;
         let audit = state

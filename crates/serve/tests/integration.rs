@@ -7,6 +7,7 @@ use geosocial_serve::loadgen::{run, shutdown_server, LoadgenConfig};
 use geosocial_serve::protocol::{read_frame_into, read_msg, write_msg, Request, Response, WireFix};
 use geosocial_serve::server::{spawn, ServerConfig};
 use geosocial_serve::wire::{self, WireFormat};
+use geosocial_stream::StreamComposition;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 
@@ -207,6 +208,116 @@ fn protocol_guards_reject_bad_sessions() {
 
     // Close our connection before asking for shutdown: the server drains
     // in-flight connections before exiting.
+    drop(w);
+    drop(r);
+    shutdown_server(addr).expect("shutdown accepted");
+    server.join().expect("server exits cleanly");
+}
+
+/// Positions are validated once, after decode: a NaN fix inside a stay is
+/// rejected (the server drops the connection that sent it) and the audit
+/// never sees it. Unvalidated, in a release build, the one NaN fix split
+/// the stay's visit in two. User 2 replays user 1's trace plus the
+/// rejected fix; both must end with the same composition.
+#[test]
+fn nan_fix_inside_a_stay_is_rejected_and_leaves_the_audit_unchanged() {
+    let server = spawn(ServerConfig { shards: 2, ..ServerConfig::default() }, "127.0.0.1:0")
+        .expect("bind ephemeral port");
+    let addr = server.addr();
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        (BufWriter::new(stream.try_clone().expect("clone")), BufReader::new(stream))
+    };
+    let send = |w: &mut BufWriter<TcpStream>, req: &Request| {
+        let mut frame = Vec::new();
+        wire::encode_request_frame(&mut frame, req, WireFormat::Binary).expect("encode");
+        w.write_all(&frame).and_then(|()| w.flush())
+    };
+    let ask = |w: &mut BufWriter<TcpStream>, r: &mut BufReader<TcpStream>, req: &Request| {
+        send(w, req).expect("write");
+        let mut buf = Vec::new();
+        let len = read_frame_into(r, &mut buf).expect("read").expect("response");
+        wire::decode_response(&buf[..len]).expect("decode")
+    };
+    // 40 minutes at one spot, then 15 minutes walking east at ~200 m/min.
+    let fix = |i: i64| {
+        let lon = if i < 40 { -119.86 } else { -119.86 + 0.0022 * (i - 39) as f64 };
+        (60 * i, 34.42, lon)
+    };
+    let gps = |user: u32, seq: u64, (t, lat, lon): (i64, f64, f64)| Request::Gps {
+        user,
+        seq,
+        t,
+        lat,
+        lon,
+    };
+
+    let (mut w, mut r) = connect();
+    assert!(matches!(
+        ask(&mut w, &mut r, &Request::Hello { origin_lat: 34.42, origin_lon: -119.86 }),
+        Response::Ok
+    ));
+    for i in 0..55 {
+        assert!(matches!(
+            ask(&mut w, &mut r, &gps(1, i as u64, fix(i))),
+            Response::Verdicts { .. }
+        ));
+    }
+    for i in 0..20 {
+        assert!(matches!(
+            ask(&mut w, &mut r, &gps(2, i as u64, fix(i))),
+            Response::Verdicts { .. }
+        ));
+    }
+
+    // Minutes 20..25 of the stay as one run whose third fix is NaN, on its
+    // own connection.
+    let (mut bad_w, mut bad_r) = connect();
+    let fixes = (20..25)
+        .map(|i| {
+            let (t, lat, lon) = fix(i);
+            WireFix { t, lat: if i == 22 { f64::NAN } else { lat }, lon }
+        })
+        .collect();
+    let run = Request::GpsRun { user: 2, first_seq: 20, fixes };
+    let answer = send(&mut bad_w, &run).and_then(|()| read_frame_into(&mut bad_r, &mut Vec::new()));
+    assert!(!matches!(answer, Ok(Some(_))), "a NaN fix must be rejected, not answered: {answer:?}");
+
+    // The rejected run took no seq: the rest of the trace continues from
+    // seq 20.
+    for i in 20..55 {
+        assert!(matches!(
+            ask(&mut w, &mut r, &gps(2, i as u64, fix(i))),
+            Response::Verdicts { .. }
+        ));
+    }
+    assert!(matches!(
+        ask(&mut w, &mut r, &Request::Finish),
+        Response::Verdicts { .. } | Response::Ok
+    ));
+    let composition = |w: &mut BufWriter<TcpStream>, r: &mut BufReader<TcpStream>, user| match ask(
+        w,
+        r,
+        &Request::User { user },
+    ) {
+        Response::Composition { composition } => composition,
+        other => panic!("expected Composition for user {user}, got {other:?}"),
+    };
+    // Rejected at decode: no shard ever saw the run (an unvalidated NaN
+    // fix trips `LatLon`'s debug assertion inside the shard, which then
+    // recovers).
+    match ask(&mut w, &mut r, &Request::Stats) {
+        Response::Stats { stats } => {
+            assert_eq!(stats.gps_events, 110, "only the valid fixes apply");
+            assert_eq!(stats.recoveries, 0, "no shard may fail over the NaN fix");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    let clean = composition(&mut w, &mut r, 1);
+    let tried = composition(&mut w, &mut r, 2);
+    assert_eq!(clean.visits_total, 1, "the stay is one visit: {clean:?}");
+    assert_eq!(tried, StreamComposition { user: 2, ..clean });
+
     drop(w);
     drop(r);
     shutdown_server(addr).expect("shutdown accepted");

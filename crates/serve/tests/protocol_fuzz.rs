@@ -18,17 +18,18 @@ fn frame(req: &Request) -> Vec<u8> {
     buf
 }
 
-/// A random-but-valid request to mutate.
+/// A random-but-valid request to mutate. Latitudes are `x / 2`, so an `x`
+/// in ±180° yields a valid position.
 fn request_for(pick: u8, user: u32, seq: u64, t: i64, x: f64) -> Request {
     match pick % 5 {
-        0 => Request::Gps { user, seq, t, lat: x, lon: -x },
-        1 => Request::Checkin { user, seq, t, poi: user.wrapping_add(7), lat: x, lon: x / 2.0 },
-        2 => Request::Hello { origin_lat: x, origin_lon: -x },
+        0 => Request::Gps { user, seq, t, lat: x / 2.0, lon: -x },
+        1 => Request::Checkin { user, seq, t, poi: user.wrapping_add(7), lat: x / 2.0, lon: x },
+        2 => Request::Hello { origin_lat: x / 2.0, origin_lon: -x },
         3 => Request::GpsRun {
             user,
             first_seq: seq,
             fixes: (0..(user % 7) as i64)
-                .map(|i| WireFix { t: t + 60 * i, lat: x + 1e-4 * i as f64, lon: -x })
+                .map(|i| WireFix { t: t + 60 * i, lat: x / 2.0, lon: -x + 1e-4 * i as f64 })
                 .collect(),
         },
         _ => Request::Drain { finalize: seq.is_multiple_of(2) },
@@ -441,8 +442,40 @@ fn run_length_edges() {
     // The empty run's encoding ends with count=0; rewrite it.
     assert_eq!(payload.pop(), Some(0));
     let mut count = Vec::new();
-    wire::put_varint(&mut count, MAX_RUN_LEN as u64 + 1);
+    geosocial_store::put_varint(&mut count, MAX_RUN_LEN as u64 + 1);
     payload.extend_from_slice(&count);
     let err = wire::decode_request_binary(&payload).expect_err("over-cap run must be rejected");
     assert!(err.detail.contains("cap"), "got: {err}");
+}
+
+/// A run whose timestamps overflow `i64` is malformed: it fails to decode
+/// at the offending delta instead of wrapping (release) or panicking
+/// (debug).
+#[test]
+fn run_timestamp_overflow_fails_to_decode() {
+    use geosocial_store::{put_f64, put_varint, put_zigzag};
+    // An empty run's header, its count=0 rewritten to 2, then the fixes.
+    let mut head = Vec::new();
+    wire::encode_request_payload(
+        &mut head,
+        &Request::GpsRun { user: 3, first_seq: 0, fixes: Vec::new() },
+    );
+    assert_eq!(head.pop(), Some(0));
+    put_varint(&mut head, 2);
+    put_zigzag(&mut head, i64::MAX - 30);
+    put_f64(&mut head, 34.42);
+    put_f64(&mut head, -119.86);
+    let delta_at = head.len();
+    let with_dt = |dt: i64| {
+        let mut payload = head.clone();
+        put_zigzag(&mut payload, dt);
+        put_varint(&mut payload, 0);
+        put_varint(&mut payload, 0);
+        payload
+    };
+    let err = wire::decode_request_binary(&with_dt(60)).expect_err("overflowing run decoded");
+    assert_eq!(err.offset, delta_at, "got: {err}");
+    assert!(err.detail.contains("overflows"), "got: {err}");
+    // A representable second timestamp decodes fine.
+    assert!(wire::decode_request_binary(&with_dt(-60)).is_ok());
 }

@@ -1,8 +1,9 @@
-//! Byte-level primitives shared by the segment log and the snapshot files:
-//! LEB128 varints, zigzag signed integers, raw f64 bits, and the CRC-32
-//! (IEEE) checksum that guards every record. The integer wire forms are
-//! identical to `geosocial-serve`'s binary wire codec, so a stored record
-//! body can embed a wire frame payload without re-encoding anything.
+//! Byte-level primitives: LEB128 varints, zigzag signed integers, raw f64
+//! bits, and the CRC-32 (IEEE) checksum that guards every record. This is
+//! the workspace's one scalar codec: the segment log, the snapshot files and
+//! `geosocial-serve`'s binary wire all encode and decode through it, so a
+//! stored record body can embed a wire frame payload without re-encoding
+//! anything.
 
 /// Structured decode failure: the byte offset where decoding stopped plus
 /// what was expected there. Offsets are relative to the buffer handed to
@@ -23,7 +24,14 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<CodecError> for std::io::Error {
+    fn from(e: CodecError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 /// Append `v` as an LEB128 varint (1–10 bytes).
+#[inline]
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
@@ -37,16 +45,19 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append `v` zigzag-mapped (small magnitudes stay small, either sign).
+#[inline]
 pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Append `v`'s IEEE-754 bits, little-endian (lossless, 8 bytes).
+#[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 /// Append a length-prefixed byte slice.
+#[inline]
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_varint(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
@@ -61,25 +72,30 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Decode from the start of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
     /// Current decode offset.
+    #[inline]
     pub fn pos(&self) -> usize {
         self.pos
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
+    #[inline]
     fn err<T>(&self, at: usize, detail: impl Into<String>) -> Result<T, CodecError> {
         Err(CodecError { offset: at, detail: detail.into() })
     }
 
     /// One raw byte.
+    #[inline]
     pub fn byte(&mut self) -> Result<u8, CodecError> {
         match self.bytes.get(self.pos) {
             Some(&b) => {
@@ -91,6 +107,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An LEB128 varint (≤ 10 bytes, no u64 overflow).
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, CodecError> {
         let start = self.pos;
         let mut v = 0u64;
@@ -115,12 +132,14 @@ impl<'a> Reader<'a> {
     }
 
     /// A zigzag-mapped signed integer.
+    #[inline]
     pub fn zigzag(&mut self) -> Result<i64, CodecError> {
         let v = self.varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
     /// Eight little-endian bytes as an f64.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         let start = self.pos;
         match self.bytes.get(self.pos..self.pos + 8) {
@@ -132,7 +151,28 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Eight little-endian bytes as a u64.
+    #[inline]
+    pub fn u64_le(&mut self) -> Result<u64, CodecError> {
+        let start = self.pos;
+        match self.bytes.get(self.pos..self.pos + 8) {
+            Some(raw) => {
+                self.pos += 8;
+                Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+            }
+            None => self.err(start, "truncated u64"),
+        }
+    }
+
+    /// A varint that must fit a u32 (`what` names the field in the error).
+    #[inline]
+    pub fn u32_field(&mut self, what: &str) -> Result<u32, CodecError> {
+        let v = self.varint()?;
+        u32::try_from(v).or_else(|_| self.err(self.pos, format!("{what} {v} > u32::MAX")))
+    }
+
     /// A length-prefixed byte slice, bounded by what remains.
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let start = self.pos;
         let len = self.varint()? as usize;
@@ -145,6 +185,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Assert the input is fully consumed.
+    #[inline]
     pub fn finish(&self) -> Result<(), CodecError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -190,7 +231,7 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+        for v in [0u64, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut r = Reader::new(&buf);
@@ -201,7 +242,7 @@ mod tests {
 
     #[test]
     fn zigzag_roundtrip() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
+        for v in [0i64, 1, -1, 60, -60, 63, -64, i64::MAX, i64::MIN] {
             let mut buf = Vec::new();
             put_zigzag(&mut buf, v);
             assert_eq!(Reader::new(&buf).zigzag().unwrap(), v);

@@ -9,9 +9,9 @@
 //!
 //! Layering:
 //!
-//! - [`codec`] — varint/zigzag/f64 primitives and CRC-32, byte-compatible
-//!   with the serve crate's binary wire codec so wire frame payloads embed
-//!   into records without re-encoding.
+//! - [`codec`] — varint/zigzag/f64 primitives and CRC-32: the one scalar
+//!   codec, which the serve crate's binary wire also speaks, so wire frame
+//!   payloads embed into records without re-encoding.
 //! - [`segment`] — record framing and the scan-truncate recovery rule:
 //!   arbitrary corruption never panics, scans stop at the last valid
 //!   record boundary with a structured offset-carrying [`TornTail`].

@@ -2,7 +2,10 @@
 # Tier-1+ verification entry point for the repository.
 #
 # Runs, in order:
-#   1. the tier-1 gate: release build (including examples) + full test suite,
+#   1. the tier-1 gate: release build (including examples) + `cargo test -q`
+#      at the root, which tests only the facade package (its lib and the
+#      root tests/); the whole workspace's suite is `cargo test --workspace`
+#      (scripts/ci.sh test),
 #   2. a short serving-layer smoke: geosocial-loadgen spawns an in-process
 #      geosocial-serve (4 shards), replays a small generated scenario over
 #      TCP, verifies the served compositions against the batch pipeline,

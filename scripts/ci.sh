@@ -12,6 +12,11 @@
 #   4. tests         — the full workspace suite, then the fault-injection
 #                      suite (chaos equivalence test) which only exists
 #                      behind --features fault-inject
+#   4b. perfbench    — build the repository benchmark (perfbench/, a
+#                      workspace of its own) and run its tests, a smoke
+#                      run of both workloads among them: a change to a
+#                      public API it compiles against fails here, not in
+#                      the benchmark pipeline after merge
 #   5. wire smoke    — a batch-verified replay on the binary wire with
 #                      batched GpsRun frames (the JSON wire is smoked by
 #                      check.sh), so both encodings gate every merge
@@ -38,13 +43,13 @@
 #                      real TCP server, plus the committed-bench gates
 #
 # Usage: scripts/ci.sh [step...]   (no args = all steps)
-# Steps: fmt clippy build test chaos wire trace cluster store scenario
-#        bench check
+# Steps: fmt clippy build test perfbench chaos wire trace cluster store
+#        scenario bench check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build test chaos wire trace cluster store scenario bench check)
+[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build test perfbench chaos wire trace cluster store scenario bench check)
 
 want() {
     local s
@@ -84,6 +89,11 @@ fi
 if want test; then
     echo "==> ci: cargo test -q --workspace"
     cargo test -q --workspace
+fi
+
+if want perfbench; then
+    echo "==> ci: perfbench build + tests"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if want chaos; then
