@@ -30,13 +30,18 @@ usage: geosocial-serve [options]
   --write-timeout S  per-connection write timeout in seconds (default 30; 0 = off)
   --max-conns N      concurrently served connections before the acceptor
                      applies backpressure (default 256)
-  --snapshot-every N applied events between durable store snapshots
-                     (default 1024)
+  --snapshot-every N minimum applied events between durable store snapshots
+                     (default 1024); a snapshot also waits until the log
+                     past the last one is at least that snapshot's size, so
+                     snapshots cost no more bytes than the log that pays
+                     for them
   --store-dir PATH   event-store root; each shard logs to PATH/shard-N/ and
                      recovery replays it on restart (default: a per-process
                      temp dir removed at shutdown)
   --segment-bytes N  roll store segments after N bytes (default 4194304)
-  --index-every N    sparse-index every Nth record per segment (default 8)
+  --index-every N    sparse-index every Nth record of each user, besides the
+                     first record of each run of that user's records
+                     (default 8)
   --flush-bytes N    flush the store log after N buffered bytes (default
                      65536; 0 = flush every append, so acked events survive
                      a SIGKILL — what cluster handoff under chaos relies on)

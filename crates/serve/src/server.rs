@@ -32,9 +32,13 @@
 //! * **Durable event store** — every applied mutation is appended to a
 //!   per-shard log-structured store (`geosocial-store`): CRC-framed
 //!   records in append-only segments, with the shard state checkpointed
-//!   into a compacted snapshot every [`ServerConfig::snapshot_every`]
-//!   mutations. Segments are never deleted — the log *is* the history —
-//!   which is what powers the time-travel reads below.
+//!   into a compacted snapshot once at least
+//!   [`ServerConfig::snapshot_every`] mutations *and* at least the last
+//!   snapshot's size in log bytes have accumulated past it. Snapshot bytes
+//!   written then stay within the log's bytes plus the newest snapshot,
+//!   and crash replay within `snapshot_every` mutations or one snapshot's
+//!   worth of log. Segments are never deleted — the log *is* the
+//!   history — which is what powers the time-travel reads below.
 //! * **Crash recovery** — a panic while applying a command (injected by a
 //!   `geosocial-fault` plan or genuine) is caught by the worker's
 //!   supervisor loop, the state is rebuilt from the store's last snapshot
@@ -47,7 +51,9 @@
 //!   stored events with `t_event <= t` through a fresh auditor (equal to
 //!   a batch audit truncated at that watermark) and `Window { cohort,
 //!   t0, t1 }` answers cohort compositions over a time range — both
-//!   online, while ingest and replay continue.
+//!   online, while ingest and replay continue. A per-user read touches
+//!   only that user's runs of records, found through stretch anchors in
+//!   the store's sparse index, never the rest of the log.
 //! * **Graceful drain** — the `Drain` request reports residual state
 //!   (pending checkins, reorder-held events, open visits/windows) and,
 //!   when asked to finalize, flushes it all before the operator sends
@@ -216,9 +222,14 @@ pub struct ServerConfig {
     /// Maximum concurrently served connections; the acceptor stops
     /// accepting beyond this (bounded backpressure).
     pub max_connections: usize,
-    /// Shard checkpoint cadence: applied mutations between durable store
-    /// snapshots. Lower = shorter crash replay, more frequent state
-    /// serialization cost.
+    /// Shard checkpoint cadence: the minimum applied mutations between
+    /// durable store snapshots. A snapshot is also held back until the log
+    /// past the previous one is at least that snapshot's size
+    /// ([`EventStore::snapshot_due`]), so a large auditor state is not
+    /// re-encoded more often than the log can pay for. Crash replay is
+    /// bounded by this many mutations or one snapshot's worth of log,
+    /// whichever is larger. Lower = shorter crash replay while the state
+    /// is small.
     pub snapshot_every: usize,
     /// Event-store root. Each shard logs and snapshots under
     /// `<store_dir>/shard-N/`; reopening a server on the same directory
@@ -231,8 +242,9 @@ pub struct ServerConfig {
     /// flush.
     pub segment_bytes: usize,
     /// Event-store sparse-index granularity: one `(user, t)` anchor every
-    /// this many records per segment. Lower = faster historical seeks,
-    /// more index memory.
+    /// this many records of each user, besides the anchor at the start of
+    /// every run of that user's consecutive records in a segment. Lower =
+    /// shorter seeks inside long runs, more index memory.
     pub index_every: usize,
     /// Event-store flush threshold, bytes: buffered appends are written
     /// through to the active segment once they reach this size. `0`
@@ -843,9 +855,10 @@ enum Admit {
 
 /// One shard worker: a supervisor loop owning the auditors of the users
 /// hashed to it. All state flows through the shard's event store: applied
-/// mutations append to its log, the state is snapshotted into it every
-/// `snapshot_every` records, and opening the store on a non-empty
-/// directory restores everything it held. Commands are applied under
+/// mutations append to its log, the state is snapshotted into it whenever
+/// [`EventStore::snapshot_due`] says so (at least `snapshot_every` records
+/// and the last snapshot's size in log bytes), and opening the store on a
+/// non-empty directory restores everything it held. Commands are applied under
 /// `catch_unwind`; a panic rebuilds the state from the store (snapshot +
 /// replay delta, including any still-unflushed tail), retries the command
 /// once, and keeps serving.
@@ -971,7 +984,7 @@ fn shard_worker(
         }
         let resp = match resp {
             Ok(resp) => {
-                if store.records_since_snapshot() >= snapshot_every {
+                if store.snapshot_due(snapshot_every) {
                     let state = crate::snapshot::encode_state(&live);
                     if let Err(e) = store.snapshot(&state) {
                         // Non-fatal: recovery replays a longer delta until

@@ -39,6 +39,11 @@ cached!(
     compactions, counter, Counter, "store.compactions"
 );
 cached!(
+    /// Snapshot file bytes written. Over `store.bytes.total` this is the
+    /// snapshot write amplification.
+    snapshot_bytes, counter, Counter, "store.snapshot.bytes"
+);
+cached!(
     /// Obsolete snapshot files garbage-collected.
     snapshots_gc, counter, Counter, "store.snapshots.gc"
 );

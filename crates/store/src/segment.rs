@@ -60,16 +60,26 @@ pub struct RecordRef<'a> {
 }
 
 /// Append one framed record to `buf`; returns the encoded record length.
+///
+/// The body is encoded straight into `buf` behind a reserved 8-byte
+/// header, which is patched with the length and CRC afterwards — no
+/// per-record allocation. An oversized body panics with `buf` restored to
+/// its prior length, so a caller that catches the panic keeps a valid log.
 pub fn append_record(buf: &mut Vec<u8>, user: u32, t: i64, payload: &[u8]) -> usize {
-    let mut body = Vec::with_capacity(payload.len() + 16);
-    put_varint(&mut body, u64::from(user));
-    put_zigzag(&mut body, t);
-    body.extend_from_slice(payload);
-    assert!(body.len() <= MAX_RECORD_BYTES, "record body {} exceeds cap", body.len());
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&body).to_le_bytes());
-    buf.extend_from_slice(&body);
-    body.len() + 8
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 8]);
+    put_varint(buf, u64::from(user));
+    put_zigzag(buf, t);
+    buf.extend_from_slice(payload);
+    let body_len = buf.len() - start - 8;
+    if body_len > MAX_RECORD_BYTES {
+        buf.truncate(start);
+        panic!("record body {body_len} exceeds cap");
+    }
+    let crc = crc32(&buf[start + 8..]);
+    buf[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    body_len + 8
 }
 
 /// Scan `bytes` as a segment, yielding each valid record to `f` in order
@@ -222,6 +232,57 @@ mod tests {
         let torn = res.unwrap_err();
         assert_eq!(torn.offset, 0);
         assert!(torn.detail.contains("cap"));
+    }
+
+    /// The framing before records were encoded in place: body into its
+    /// own buffer, then header and body appended.
+    fn framed_via_body_vec(user: u32, t: i64, payload: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_varint(&mut body, u64::from(user));
+        put_zigzag(&mut body, t);
+        body.extend_from_slice(payload);
+        let mut out = Vec::new();
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn in_place_framing_matches_body_vec_framing() {
+        let large = vec![0x5Au8; MAX_RECORD_BYTES - 32];
+        let cases: [(u32, i64, &[u8]); 7] = [
+            (0, 0, &[]),
+            (7, -1, &[]),
+            (SENTINEL_USER, 0, b"ctl"),
+            (u32::MAX - 1, i64::MAX, &[1, 2, 3]),
+            (u32::MAX - 1, i64::MIN, &[]),
+            (1, i64::MIN, &large),
+            (u32::MAX - 1, i64::MAX, &large),
+        ];
+        // Appending after existing bytes must leave them untouched.
+        let mut buf = vec![0xEEu8; 5];
+        let mut want = buf.clone();
+        for (user, t, payload) in cases {
+            let n = append_record(&mut buf, user, t, payload);
+            let framed = framed_via_body_vec(user, t, payload);
+            assert_eq!(n, framed.len());
+            want.extend_from_slice(&framed);
+            assert_eq!(buf, want, "user {user} t {t} payload {} bytes", payload.len());
+        }
+    }
+
+    #[test]
+    fn oversized_record_panics_and_leaves_buffer_intact() {
+        let mut buf = Vec::new();
+        append_record(&mut buf, 1, 10, b"kept");
+        let before = buf.clone();
+        let big = vec![0u8; MAX_RECORD_BYTES];
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            append_record(&mut buf, 2, 20, &big);
+        }));
+        assert!(res.is_err(), "an oversized body must panic");
+        assert_eq!(buf, before, "the failed append left no partial frame");
     }
 
     #[test]

@@ -13,6 +13,30 @@
 //! past the newest durable snapshot (O(delta), not O(history)); older
 //! snapshot files are garbage-collected.
 //!
+//! ## Snapshot cadence
+//!
+//! A caller whose state is re-encoded whole on every snapshot asks
+//! [`EventStore::snapshot_due`] when to write one: once the delta holds at
+//! least a minimum number of records *and* at least as many log bytes as
+//! the newest snapshot file. The first snapshot comes at the record
+//! minimum; each later one is paid for by its predecessor's size in fresh
+//! log, so snapshot bytes written stay within the log's bytes plus the
+//! newest snapshot, and recovery replays at most the record minimum or
+//! one snapshot's worth of log, whichever is larger.
+//!
+//! ## Per-user reads
+//!
+//! The sparse index anchors the first record of every *stretch* — a run
+//! of one user's consecutive records within one segment — plus every
+//! `index_every`-th record of each user. [`EventStore::query`] seeks by
+//! time and reads only the runs that start at the user's anchors, so it
+//! decodes and CRC-checks the user's own records (and the one record that
+//! ends each run), not every record of every user. A sealed segment is read
+//! through 16 KiB windows placed at the runs (grown for a record larger
+//! than one), so a user whose runs are far apart costs a few windows per
+//! segment, not the segment. [`EventStore::open`] rebuilds the same
+//! anchors from its scan.
+//!
 //! ## Durability
 //!
 //! Appends are buffered in memory and flushed when the pending tail
@@ -26,12 +50,12 @@
 
 use crate::codec::crc32;
 use crate::metrics;
-use crate::segment::{append_record, scan_records, RecordRef, SENTINEL_USER};
+use crate::segment::{append_record, scan_records, RecordRef, TornTail, SENTINEL_USER};
 use geosocial_fault::{FaultPlan, FsFault};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -42,6 +66,8 @@ pub const FLUSH_THRESHOLD: usize = 64 * 1024;
 const SNAP_MAGIC: &[u8; 4] = b"GSNP";
 /// Snapshot file format version.
 const SNAP_VERSION: u32 = 1;
+/// Snapshot file header: magic, version, LSN, state length, state CRC.
+const SNAP_HEADER: usize = 24;
 /// Bounded retries for must-succeed flushes (each attempt re-rolls any
 /// injected fault).
 const FLUSH_RETRIES: u32 = 64;
@@ -51,8 +77,9 @@ const FLUSH_RETRIES: u32 = 64;
 pub struct StoreOptions {
     /// Roll to a new segment file once the active one reaches this size.
     pub segment_bytes: usize,
-    /// Index every `index_every`-th record of each user; reads walk
-    /// forward from the nearest anchor. 1 = exact index.
+    /// Index every `index_every`-th record of each user, besides the first
+    /// record of each run of that user's records; reads walk forward from
+    /// the anchors. 1 = exact index.
     pub index_every: usize,
     /// Fault plan consulted by the flush path (inert unless the `inject`
     /// feature chain is armed).
@@ -111,55 +138,195 @@ struct Active {
     flushed: usize,
 }
 
-/// One sparse-index anchor: the location of a user's `k·every`-th record.
+/// Where a read of one user's history may start: a record's segment and
+/// byte offset in it.
 #[derive(Debug, Clone, Copy)]
 struct Anchor {
-    t: i64,
     seg: u32,
     off: u32,
 }
 
-/// Sparse per-user `(time → location)` index. Anchors every `every`-th
-/// record of each user; a historical read seeks to the last anchor before
-/// the window and walks records forward, filtering by user — the classic
-/// sparse-index trade of memory for a bounded forward scan.
+/// One user's share of the [`SparseIndex`]: its anchors as a
+/// struct of arrays, 12 bytes per anchor — the segment is stored once per
+/// run of anchors in the same segment, not once per anchor.
+#[derive(Debug, Default)]
+struct UserIndex {
+    /// Records of this user in the log.
+    count: u64,
+    /// Anchor times, in log order.
+    ts: Vec<i64>,
+    /// Anchor offsets within their segment, parallel to `ts`.
+    offs: Vec<u32>,
+    /// `(index of the first anchor, segment)` for every segment the
+    /// anchors enter, in log order.
+    segs: Vec<(usize, u32)>,
+}
+
+impl UserIndex {
+    fn push(&mut self, t: i64, seg: u32, off: u32) {
+        if self.segs.last().is_none_or(|&(_, s)| s != seg) {
+            self.segs.push((self.ts.len(), seg));
+        }
+        self.ts.push(t);
+        self.offs.push(off);
+    }
+
+    /// Anchors from index `from` on, in log order.
+    fn anchors(&self, from: usize) -> impl Iterator<Item = Anchor> + '_ {
+        let mut run = self.segs.partition_point(|&(first, _)| first <= from).saturating_sub(1);
+        (from..self.ts.len()).map(move |i| {
+            while self.segs.get(run + 1).is_some_and(|&(first, _)| first <= i) {
+                run += 1;
+            }
+            Anchor { seg: self.segs[run].1, off: self.offs[i] }
+        })
+    }
+}
+
+/// Sparse per-user `(time → location)` index.
+///
+/// A user's records form **stretches**: maximal runs of consecutive log
+/// records of that user inside one segment. A record starts a stretch
+/// when its predecessor in the log belongs to another user, is a sentinel,
+/// or sits in another segment. The index anchors every stretch start, plus
+/// every `every`-th record of each user (so a long stretch still has
+/// anchors to seek into). Every record of a user therefore lies in a run
+/// that begins at one of its anchors and holds only its records, and a
+/// historical read visits exactly those runs — never another user's
+/// records past the one that ends a run. A log where users interleave
+/// record by record anchors every record, at 12 bytes each.
 #[derive(Debug)]
 struct SparseIndex {
     every: u64,
-    counts: HashMap<u32, u64>,
-    anchors: HashMap<u32, Vec<Anchor>>,
+    users: HashMap<u32, UserIndex>,
+    /// `(user, segment)` of the last record noted: decides whether the
+    /// next one starts a stretch.
+    prev: Option<(u32, u32)>,
 }
 
 impl SparseIndex {
     fn new(every: usize) -> Self {
-        Self { every: every.max(1) as u64, counts: HashMap::new(), anchors: HashMap::new() }
+        Self { every: every.max(1) as u64, users: HashMap::new(), prev: None }
     }
 
+    /// Note the record at `(seg, off)`; records must be noted in log order.
     fn note(&mut self, user: u32, t: i64, seg: u32, off: u32) {
+        let stretch_start = self.prev != Some((user, seg));
+        self.prev = Some((user, seg));
         if user == SENTINEL_USER {
             return;
         }
-        let count = self.counts.entry(user).or_insert(0);
-        if (*count).is_multiple_of(self.every) {
-            self.anchors.entry(user).or_default().push(Anchor { t, seg, off });
+        let entry = self.users.entry(user).or_default();
+        if stretch_start || entry.count.is_multiple_of(self.every) {
+            entry.push(t, seg, off);
         }
-        *count += 1;
+        entry.count += 1;
     }
 
-    /// Anchor to start a walk for events of `user` with `t >= t0`, if the
-    /// user has any records at all.
-    fn start(&self, user: u32, t0: i64) -> Option<Anchor> {
-        let anchors = self.anchors.get(&user)?;
-        // The last anchor strictly before the window (its successors may
-        // still hold in-window records of this user); first anchor if the
-        // window starts before everything.
-        let i = anchors.partition_point(|a| a.t < t0);
-        Some(anchors[i.saturating_sub(1)])
+    /// Anchors a read of `user`'s records with `t >= t0` walks from: the
+    /// last anchor strictly before the window (its run may still hold
+    /// in-window records) and every later one; all anchors if the window
+    /// starts before everything.
+    fn anchors_from(&self, user: u32, t0: i64) -> impl Iterator<Item = Anchor> + '_ {
+        self.users.get(&user).into_iter().flat_map(move |index| {
+            index.anchors(index.ts.partition_point(|&t| t < t0).saturating_sub(1))
+        })
     }
 
     fn applied(&self, user: u32) -> u64 {
-        self.counts.get(&user).copied().unwrap_or(0)
+        self.users.get(&user).map_or(0, |u| u.count)
     }
+}
+
+/// Bytes a sealed segment's reader fetches from its file at a time.
+const READ_WINDOW: usize = 16 * 1024;
+
+/// One segment as a per-user read sees it.
+struct SegmentView<'a> {
+    /// Segment length in bytes.
+    len: u64,
+    source: Source<'a>,
+}
+
+enum Source<'a> {
+    /// The active segment's in-memory mirror.
+    Mirror(&'a [u8]),
+    /// A sealed segment file, read through a window of at least
+    /// [`READ_WINDOW`] bytes starting at `start`: a read of one user's
+    /// runs fetches the runs, not the whole file.
+    File { file: File, start: u64, buf: Vec<u8> },
+}
+
+impl SegmentView<'_> {
+    /// The segment's bytes from `off` on: at least `want` of them, or all
+    /// up to the segment's end if fewer remain.
+    fn bytes_from(&mut self, off: u64, want: usize) -> io::Result<&[u8]> {
+        match &mut self.source {
+            Source::Mirror(data) => Ok(&data[off as usize..]),
+            Source::File { file, start, buf } => {
+                let window_end = *start + buf.len() as u64;
+                let covered = off >= *start
+                    && off < window_end
+                    && (window_end >= off + want as u64 || window_end == self.len);
+                if !covered {
+                    let n = (self.len - off).min(want.max(READ_WINDOW) as u64) as usize;
+                    buf.resize(n, 0);
+                    file.seek(SeekFrom::Start(off))?;
+                    file.read_exact(buf)?;
+                    *start = off;
+                }
+                Ok(&buf[(off - *start) as usize..])
+            }
+        }
+    }
+}
+
+/// Read the run of `user`'s records at `[off, end)` of `view` into `out`,
+/// keeping those with `t >= t0`, until another user's record or `end`.
+/// Returns `true` when a record past `t1` ended the whole read.
+fn read_run(
+    view: &mut SegmentView<'_>,
+    mut off: u64,
+    end: u64,
+    user: u32,
+    t0: i64,
+    t1: i64,
+    out: &mut Vec<StoredRecord>,
+) -> io::Result<bool> {
+    let mut want = 0;
+    while off < end {
+        let data = view.bytes_from(off, want)?;
+        let avail = data.len().min((end - off) as usize);
+        let (mut run_over, mut past_window) = (false, false);
+        let scan = scan_records(&data[..avail], |r| {
+            if r.user != user || r.t > t1 {
+                run_over = true;
+                past_window = r.user == user;
+                return false;
+            }
+            if r.t >= t0 {
+                out.push(StoredRecord { lsn: 0, user, t: r.t, payload: r.payload.to_vec() });
+            }
+            true
+        });
+        match scan {
+            Ok(_) if run_over => return Ok(past_window),
+            Ok(_) => {
+                off += avail as u64;
+                want = 0;
+            }
+            // The window ended mid-record: fetch a larger one from that
+            // record on.
+            Err(torn) if (avail as u64) < end - off => {
+                want = 2 * (avail - torn.offset as usize).max(READ_WINDOW);
+                off += torn.offset;
+            }
+            Err(torn) => {
+                return Err(io::Error::other(TornTail { offset: off + torn.offset, ..torn }))
+            }
+        }
+    }
+    Ok(false)
 }
 
 /// Log-structured event store. See the module docs for the model.
@@ -171,7 +338,10 @@ pub struct EventStore {
     active: Active,
     next_lsn: u64,
     snapshot_lsn: u64,
-    snapshot_state: Option<Vec<u8>>,
+    /// The newest durable snapshot file's bytes (header + caller state).
+    /// Its length is what the delta must reach before the next snapshot
+    /// is due.
+    snapshot_file: Option<Vec<u8>>,
     /// `(segment, offset)` where the log's post-snapshot delta starts —
     /// cached so the live-bytes gauge never re-scans a segment on the
     /// append path. Segment indices are stable (segments are never
@@ -284,12 +454,12 @@ impl EventStore {
         // snapshot file is garbage (stale, torn, or past the truncated
         // tail) and is collected.
         let mut snapshot_lsn = 0u64;
-        let mut snapshot_state = None;
+        let mut snapshot_file = None;
         for &lsn in snap_lsns.iter().rev() {
-            if snapshot_state.is_none() && lsn <= next_lsn {
-                if let Some(state) = read_snapshot_file(&snap_path(&dir, lsn))? {
+            if snapshot_file.is_none() && lsn <= next_lsn {
+                if let Some(file) = read_snapshot_file(&snap_path(&dir, lsn))? {
                     snapshot_lsn = lsn;
-                    snapshot_state = Some(state);
+                    snapshot_file = Some(file);
                     continue;
                 }
             }
@@ -306,7 +476,7 @@ impl EventStore {
             active,
             next_lsn,
             snapshot_lsn,
-            snapshot_state,
+            snapshot_file,
             live_anchor: (0, 0),
             index,
             flush_ops: 0,
@@ -357,9 +527,25 @@ impl EventStore {
         self.next_lsn - self.snapshot_lsn
     }
 
+    /// Whether the caller should write a snapshot now: the delta past the
+    /// newest snapshot holds at least `min_records` records **and** at
+    /// least as many log bytes as that snapshot file.
+    ///
+    /// The byte rule amortizes snapshots against the log: every snapshot
+    /// after the first is paid for by at least its predecessor's size in
+    /// fresh log, so snapshot bytes written stay within log bytes (plus the
+    /// newest snapshot) however large the caller state grows. Recovery
+    /// replay stays bounded by `min_records` or one snapshot's worth of
+    /// log, whichever is larger. With no snapshot yet the byte rule is
+    /// void, so the first snapshot comes at `min_records`.
+    pub fn snapshot_due(&self, min_records: u64) -> bool {
+        let snapshot_bytes = self.snapshot_file.as_ref().map_or(0, |f| f.len() as u64);
+        self.records_since_snapshot() >= min_records && self.live_bytes() >= snapshot_bytes
+    }
+
     /// The newest durable snapshot's caller-state payload, if any.
     pub fn snapshot_state(&self) -> Option<&[u8]> {
-        self.snapshot_state.as_deref()
+        self.snapshot_file.as_deref().map(|f| &f[SNAP_HEADER..])
     }
 
     /// Segment files (sealed + active).
@@ -506,7 +692,7 @@ impl EventStore {
     pub fn snapshot(&mut self, state: &[u8]) -> io::Result<u64> {
         self.flush_durably()?;
         let lsn = self.next_lsn;
-        let mut buf = Vec::with_capacity(state.len() + 24);
+        let mut buf = Vec::with_capacity(state.len() + SNAP_HEADER);
         buf.extend_from_slice(SNAP_MAGIC);
         buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
         buf.extend_from_slice(&lsn.to_le_bytes());
@@ -516,7 +702,8 @@ impl EventStore {
         fs::write(snap_path(&self.dir, lsn), &buf)?;
         let old = self.snapshot_lsn;
         self.snapshot_lsn = lsn;
-        self.snapshot_state = Some(state.to_vec());
+        metrics::snapshot_bytes().add(buf.len() as u64);
+        self.snapshot_file = Some(buf);
         // The delta restarts at the current end of the log.
         self.live_anchor = (self.sealed.len(), self.active.bytes.len() as u64);
         if old != lsn {
@@ -617,34 +804,52 @@ impl EventStore {
     }
 
     /// Historical read: every record of `user` with `t ∈ [t0, t1]`, in
-    /// applied order. Seeks to the sparse-index anchor before `t0` and
-    /// walks forward; stops as soon as the user's records pass `t1`
-    /// (per-user times are non-decreasing in an in-order log).
+    /// applied order (`lsn` is not tracked and reads 0).
+    ///
+    /// Seeks to the user's last sparse-index anchor before `t0`, then
+    /// reads the run of records at each anchor from there on, until
+    /// another user's record or the next anchor's location. The first of
+    /// the user's records past `t1` ends the read (per-user times are
+    /// non-decreasing in an in-order log). Only the user's own records —
+    /// plus the one record that ends each run — are decoded and
+    /// CRC-checked, and sealed segments are read only in windows at the
+    /// runs.
     pub fn query(&self, user: u32, t0: i64, t1: i64) -> io::Result<Vec<StoredRecord>> {
         let mut out = Vec::new();
-        let Some(anchor) = self.index.start(user, t0) else {
-            return Ok(out);
-        };
-        // The anchor's LSN is unknown (only its location is kept); LSNs in
-        // the callback are relative and unused here.
-        self.walk(anchor.seg as usize, anchor.off, 0, &mut |_, r| {
-            if r.user != user {
-                return true;
+        let mut anchors = self.index.anchors_from(user, t0).peekable();
+        let mut open: Option<(usize, SegmentView<'_>)> = None;
+        while let Some(anchor) = anchors.next() {
+            let seg = anchor.seg as usize;
+            if open.as_ref().is_none_or(|(s, _)| *s != seg) {
+                open = Some((seg, self.segment_view(seg)?));
             }
-            if r.t > t1 {
-                return false;
+            let view = &mut open.as_mut().expect("segment opened above").1;
+            let end = match anchors.peek() {
+                Some(next) if next.seg == anchor.seg => u64::from(next.off),
+                _ => view.len,
+            };
+            let past_window = read_run(view, u64::from(anchor.off), end, user, t0, t1, &mut out)
+                .map_err(|e| {
+                    io::Error::other(format!("segment {seg} unreadable mid-query: {e}"))
+                })?;
+            if past_window {
+                break;
             }
-            if r.t >= t0 {
-                out.push(StoredRecord {
-                    lsn: 0,
-                    user: r.user,
-                    t: r.t,
-                    payload: r.payload.to_vec(),
-                });
-            }
-            true
-        })?;
+        }
         Ok(out)
+    }
+
+    fn segment_view(&self, seg: usize) -> io::Result<SegmentView<'_>> {
+        Ok(match self.sealed.get(seg) {
+            Some(s) => SegmentView {
+                len: s.bytes_len,
+                source: Source::File { file: File::open(&s.path)?, start: 0, buf: Vec::new() },
+            },
+            None => SegmentView {
+                len: self.active.bytes.len() as u64,
+                source: Source::Mirror(&self.active.bytes),
+            },
+        })
     }
 
     /// Ship this shard's durable state for a handoff: flush, then copy
@@ -669,7 +874,7 @@ impl EventStore {
             };
             names.push(file_name(&path)?);
         }
-        if self.snapshot_state.is_some() {
+        if self.snapshot_file.is_some() {
             names.push(file_name(&snap_path(&self.dir, self.snapshot_lsn))?);
         }
         let mut manifest = HandoffManifest {
@@ -803,15 +1008,16 @@ impl Drop for EventStore {
     }
 }
 
-/// Read and validate one snapshot file; `Ok(None)` when it is torn or
-/// corrupt (the caller falls back to an older snapshot).
+/// Read and validate one snapshot file, returning its header and state
+/// (any trailing bytes dropped); `Ok(None)` when it is torn or corrupt (the
+/// caller falls back to an older snapshot).
 fn read_snapshot_file(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    let bytes = match fs::read(path) {
+    let mut bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if bytes.len() < 24 || &bytes[..4] != SNAP_MAGIC {
+    if bytes.len() < SNAP_HEADER || &bytes[..4] != SNAP_MAGIC {
         return Ok(None);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
@@ -820,13 +1026,14 @@ fn read_snapshot_file(path: &Path) -> io::Result<Option<Vec<u8>>> {
     }
     let state_len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let Some(state) = bytes.get(24..24 + state_len) else {
+    let Some(state) = bytes.get(SNAP_HEADER..SNAP_HEADER + state_len) else {
         return Ok(None);
     };
     if crc32(state) != crc {
         return Ok(None);
     }
-    Ok(Some(state.to_vec()))
+    bytes.truncate(SNAP_HEADER + state_len);
+    Ok(Some(bytes))
 }
 
 #[cfg(test)]
@@ -1005,6 +1212,27 @@ mod tests {
     }
 
     #[test]
+    fn query_runs_continue_past_read_windows_ending_on_record_boundaries() {
+        let dir = tmp_dir("query-window");
+        let opts =
+            StoreOptions { segment_bytes: 4 * READ_WINDOW, index_every: 1000, ..small_opts() };
+        let mut store = EventStore::open(&dir, opts).expect("open");
+        // One run of 1 KiB records: a read window of a sealed segment ends
+        // exactly on a record boundary inside it.
+        for i in 0..40i64 {
+            store.append(1, i, &[i as u8; 1014]).expect("append");
+        }
+        assert_eq!(store.total_bytes(), 40 * 1024, "records frame to exactly 1 KiB");
+        while store.segment_count() == 1 {
+            store.append(2, 0, &[0; 512]).expect("append");
+        }
+        let got = store.query(1, i64::MIN, i64::MAX).expect("query");
+        assert_eq!(got.iter().map(|r| r.t).collect::<Vec<_>>(), (0..40).collect::<Vec<_>>());
+        assert!(got.iter().all(|r| r.payload == [r.t as u8; 1014]));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn queries_see_history_across_reopen_and_snapshot() {
         let dir = tmp_dir("query-reopen");
         let mut store = EventStore::open(&dir, small_opts()).expect("open");
@@ -1022,6 +1250,72 @@ mod tests {
         let all = store.query(1, i64::MIN, i64::MAX).expect("query");
         assert_eq!(all.len(), 60, "snapshots compact recovery, never the history");
         assert_eq!(all[59].t, 59);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_due_waits_for_record_minimum_then_for_log_bytes() {
+        let dir = tmp_dir("due");
+        let mut store = EventStore::open(&dir, small_opts()).expect("open");
+        fill(&mut store, 9);
+        assert!(!store.snapshot_due(10), "not due before the record minimum");
+        fill(&mut store, 1);
+        assert!(store.snapshot_due(10), "with no snapshot yet, due at the record minimum");
+
+        // A snapshot far larger than the records that follow it: the
+        // record minimum alone no longer makes the next one due.
+        let state = vec![0x42u8; 2000];
+        store.snapshot(&state).expect("snapshot");
+        let snap_file = (state.len() + SNAP_HEADER) as u64;
+        assert!(!store.snapshot_due(10), "an empty delta is never due");
+        let mut i = 0i64;
+        while store.live_bytes() < snap_file {
+            if store.records_since_snapshot() >= 10 {
+                assert!(
+                    !store.snapshot_due(10),
+                    "not due at {} live bytes against a {snap_file}-byte snapshot",
+                    store.live_bytes()
+                );
+            }
+            store.append(1, i, &[0xAB; 8]).expect("append");
+            i += 1;
+        }
+        assert!(store.records_since_snapshot() > 10, "the byte rule held the snapshot back");
+        assert!(store.snapshot_due(10), "due once the delta's bytes reach the snapshot's");
+        assert!(!store.snapshot_due(i as u64 + 1), "the record minimum still applies");
+
+        // Reopening restores the byte rule from the snapshot file.
+        store.flush().expect("flush");
+        let live = store.live_bytes();
+        drop(store);
+        let store = EventStore::open(&dir, small_opts()).expect("reopen");
+        assert_eq!(store.live_bytes(), live);
+        assert!(store.snapshot_due(10));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn due_snapshots_of_a_growing_state_stay_within_log_bytes() {
+        let dir = tmp_dir("amortized");
+        let mut store = EventStore::open(&dir, small_opts()).expect("open");
+        let (mut written, mut last, mut snapshots) = (0u64, 0u64, 0u32);
+        for i in 0..5_000i64 {
+            store.append((i % 7) as u32, i, &[i as u8; 6]).expect("append");
+            if store.snapshot_due(16) {
+                // Caller state that grows with the log, re-encoded whole.
+                let state = vec![0u8; 64 + 2 * i as usize];
+                store.snapshot(&state).expect("snapshot");
+                last = (state.len() + SNAP_HEADER) as u64;
+                written += last;
+                snapshots += 1;
+            }
+        }
+        assert!(snapshots >= 3, "{snapshots} snapshots");
+        assert!(
+            written <= store.total_bytes() + last,
+            "{written} snapshot bytes against {} log bytes",
+            store.total_bytes()
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,7 +31,8 @@
 #                      cannot be replayed twice)
 #   8. store smoke   — the event-store micro-benchmark at a reduced scale,
 #                      exercising append/segment-roll/snapshot/reopen/query
-#                      through the shipped geosocial-store-bench binary
+#                      through the shipped geosocial-store-bench binary;
+#                      the report must carry the AsOf query latency
 #   8b. scenario smoke — two scenario families (one social, one
 #                      adversarial) replayed end-to-end through a spawned
 #                      server with the batch-equivalence oracle on; the
@@ -234,6 +235,10 @@ if want store; then
     ./target/release/geosocial-store-bench 20000 64 64 > "$store_out"
     grep -q '"append_per_s"' "$store_out" \
         || { echo "error: store bench produced no report" >&2; exit 1; }
+    # The per-user read path (stretch-anchored AsOf queries) has no other
+    # smoke test: the report must carry its latency.
+    grep -q '"asof_query_us"' "$store_out" \
+        || { echo "error: store bench report lacks asof_query_us" >&2; exit 1; }
     rm -f "$store_out"
 fi
 
