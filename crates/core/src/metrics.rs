@@ -151,7 +151,7 @@ pub struct MetricComparison {
 }
 
 impl MetricComparison {
-    /// The §4.1 acceptance criterion: the honest subset must sit closer to
+    /// The §4.1 acceptance test: the honest subset must sit closer to
     /// the reward-indifferent baseline than the full stream does.
     pub fn honest_wins(&self) -> bool {
         self.honest_vs_baseline < self.all_vs_baseline

@@ -5,7 +5,7 @@
 //! repro list-scenarios
 //! repro [--exp all|table1|fig1..fig8|table2|sweep|detect|filter|recover|learned|fidelity|rates|visitdef|dsdv|equiv|chaos|timetravel|cluster|scenarios]
 //!       [--scenario NAME[,NAME...]]
-//!       [--users N] [--days N] [--seed S] [--out DIR] [--threads N] [--quick] [--paper-area] [--bench]
+//!       [--users N] [--days N] [--seed S] [--out DIR] [--threads N] [--quick] [--paper-area]
 //! ```
 //!
 //! `repro list` prints every experiment with a one-line description; an
@@ -36,7 +36,6 @@ struct Args {
     threads: Option<usize>,
     quick: bool,
     paper_area: bool,
-    bench: bool,
 }
 
 const ALL_EXPS: [(&str, &str); 24] = [
@@ -84,7 +83,6 @@ fn parse_args() -> Args {
         threads: None,
         quick: false,
         paper_area: false,
-        bench: false,
     };
     let mut exp_given = false;
     let mut it = std::env::args().skip(1);
@@ -128,20 +126,17 @@ fn parse_args() -> Args {
             }
             "--quick" => args.quick = true,
             "--paper-area" => args.paper_area = true,
-            "--bench" => args.bench = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [list | list-scenarios] [--exp LIST] [--scenario LIST]\n\
                      \x20            [--users N] [--days N] [--seed S] [--out DIR]\n\
-                     \x20            [--threads N] [--quick] [--paper-area] [--bench]"
+                     \x20            [--threads N] [--quick] [--paper-area]"
                 );
                 print_experiment_list();
                 eprintln!(
                     "  --threads N   worker threads for the parallel pipeline stages\n\
                      \x20               (default: one per core, via available_parallelism;\n\
-                     \x20               output is bit-identical for every value)\n\
-                     \x20 --bench      additionally time Analysis::run at 1 thread vs the\n\
-                     \x20               selected width and write BENCH_pipeline.json"
+                     \x20               output is bit-identical for every value)"
                 );
                 std::process::exit(0);
             }
@@ -192,21 +187,6 @@ fn git_describe() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Time `Analysis::run` end-to-end at a given pool width.
-fn time_analysis(
-    config: &geosocial_checkin::scenario::ScenarioConfig,
-    seed: u64,
-    threads: usize,
-) -> f64 {
-    geosocial_par::set_max_threads(threads);
-    let mut clock = Stopwatch::start();
-    let a = Analysis::run(config, seed);
-    let secs = clock.lap_us() as f64 / 1e6;
-    // Keep the result alive through the timer so nothing is optimized away.
-    assert!(a.outcome.total_checkins > 0 || a.scenario.primary.users.is_empty());
-    secs
 }
 
 /// Per-stage span rows for `timings.csv`: every `span_us.*` histogram in the
@@ -353,44 +333,6 @@ fn main() {
         csv.push_str(&format!("{stage},{secs:.4},{threads},{scale},{git}\n"));
     }
     std::fs::write(args.out.join("timings.csv"), csv).expect("write timings.csv");
-
-    if args.bench {
-        // End-to-end pipeline benchmark: Analysis::run serial vs parallel.
-        // The outputs are bit-identical; only the wall clock moves.
-        let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // Default to the host width, never past it: oversubscribing a
-        // 1-CPU host measures scheduler churn, not the pipeline, and the
-        // resulting "speedup" is noise.
-        let wide = args.threads.unwrap_or(host_cpus);
-        eprintln!("benchmarking Analysis::run at 1 vs {wide} threads...");
-        let serial_secs = time_analysis(&config, args.seed, 1);
-        eprintln!("exp analysis[threads=1] took {serial_secs:.2}s");
-        let parallel_secs = time_analysis(&config, args.seed, wide);
-        eprintln!("exp analysis[threads={wide}] took {parallel_secs:.2}s");
-        geosocial_par::set_max_threads(args.threads.unwrap_or(0));
-        let speedup = if parallel_secs > 0.0 { serial_secs / parallel_secs } else { 0.0 };
-        let speedup_note = if wide > host_cpus {
-            format!(
-                ",\n  \"speedup_note\": \"{wide} threads oversubscribe {host_cpus} host CPUs; speedup reflects scheduling overhead, not parallel capacity\""
-            )
-        } else {
-            String::new()
-        };
-        let json = format!(
-            "{{\n  \"pipeline\": \"Analysis::run\",\n  \"scale\": \"{}\",\n  \"primary_users\": {},\n  \"seed\": {},\n  \"host_cpus\": {},\n  \"threads_serial\": 1,\n  \"threads_parallel\": {},\n  \"seconds_serial\": {:.4},\n  \"seconds_parallel\": {:.4},\n  \"speedup\": {:.2}{}\n}}\n",
-            if args.quick { "quick" } else { "paper" },
-            config.primary_users,
-            args.seed,
-            host_cpus,
-            wide,
-            serial_secs,
-            parallel_secs,
-            speedup,
-            speedup_note,
-        );
-        std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-        eprintln!("speedup {speedup:.2}x; wrote BENCH_pipeline.json");
-    }
 
     eprintln!("done; outputs in {}", args.out.display());
 }

@@ -248,6 +248,9 @@ pub fn chaos_equivalence(_a: &Analysis, seed: u64) -> ExperimentOutput {
                     // Small checkpoint interval so the kill recovery
                     // actually replays a non-trivial log.
                     snapshot_every: 64,
+                    // Small flushes, so torn and failed flushes fire often
+                    // enough to exercise the store's repair path.
+                    flush_bytes: 1024,
                     fault: plan.clone(),
                     ..ServerConfig::default()
                 },
@@ -520,7 +523,7 @@ pub fn time_travel(_a: &Analysis, seed: u64) -> ExperimentOutput {
 /// Shard processes of the cluster experiment — in-process instances, one
 /// router in front; the multi-*process* variant (real `geosocial-serve`
 /// children, SIGKILL, store shipping) lives in the serve crate's cluster
-/// tests and `scripts/bench_cluster.sh`.
+/// tests.
 const CLUSTER_SHARDS: usize = 4;
 
 /// The `cluster` experiment (X14): the router tier's composition
@@ -534,9 +537,8 @@ const CLUSTER_SHARDS: usize = 4;
 ///    `geosocial-router`, users consistent-hashed across them.
 ///
 /// Both replays must verify byte-identical to batch, and the cluster's
-/// throughput is reported relative to the single server — the ratio
-/// `scripts/check.sh` gates `BENCH_cluster.json` on (≥ 0.8× on the
-/// binary wire: one router hop must not halve ingest).
+/// throughput is reported relative to the single server (the router
+/// hop's cost per event is `router.hop_cpu_ns_per_event` in perfbench).
 pub fn cluster_equivalence(_a: &Analysis, seed: u64) -> ExperimentOutput {
     use geosocial_serve::router::{self, RouterConfig};
 

@@ -14,11 +14,12 @@
 //!   `GEOSOCIAL_LOG` environment variable (`off|error|warn|info|debug|
 //!   trace`, optionally per target: `GEOSOCIAL_LOG=serve=debug,info`).
 //!   `GEOSOCIAL_LOG_FORMAT=json` switches to JSON lines.
-//! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) — a global
-//!   registry of lock-free atomic instruments. Registration takes a
-//!   mutex once per call site; the returned handles are plain atomics,
-//!   so the hot path never locks. Histograms use log₂ buckets.
-//!   [`render_text`] emits the whole registry in a line-oriented text
+//! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) — lock-free
+//!   atomic instruments in a [`Registry`]; the free functions use one
+//!   global instance. Registration takes a mutex once per call site
+//!   ([`cached_metrics!`] caches the handle); the returned handles are
+//!   plain atomics, so the hot path never locks. Histograms use log₂
+//!   buckets. [`render_text`] emits a registry in a line-oriented text
 //!   exposition format; [`snapshot`] returns it programmatically.
 //! * **Span timers** ([`span`] / [`span!`]) — RAII guards that time a
 //!   scope and feed a histogram named `span_us.<path>`, where `<path>`
@@ -48,7 +49,7 @@ pub mod trace;
 pub use crate::log::{log_enabled, log_write, set_format, set_level, set_writer, Format, Level};
 pub use crate::metrics::{
     counter, gauge, histogram, history, history_tick, render_text, snapshot, Counter, Gauge,
-    HistSnapshot, Histogram, HistoryPoint, Snapshot,
+    HistSnapshot, Histogram, HistoryPoint, Registry, Snapshot,
 };
 pub use crate::span::{span, Span, Stopwatch};
 

@@ -1,10 +1,11 @@
-//! The global metrics registry: lock-free atomic counters, gauges and
-//! log₂-bucketed histograms.
+//! Metrics registries: lock-free atomic counters, gauges and
+//! log₂-bucketed histograms, in a [`Registry`] value or in the
+//! process-global one behind the free functions.
 //!
 //! Registration ([`counter`], [`gauge`], [`histogram`]) takes the
 //! registry mutex once and returns an `Arc` handle; call sites cache the
-//! handle (typically in a `OnceLock`) so the hot path is a single relaxed
-//! atomic op. Names are dotted paths (`serve.shard.0.verdicts`); the
+//! handle ([`cached_metrics!`](crate::cached_metrics)) so the hot path is
+//! a single relaxed atomic op. Names are dotted paths (`serve.shard.0.verdicts`); the
 //! exposition sorts them, so related series group naturally.
 //!
 //! # Exposition format
@@ -26,7 +27,7 @@
 //! than a full 2× step.
 //!
 //! The exposition is **deterministic**: series print in sorted name
-//! order (the registry is a `BTreeMap`) and buckets ascend by upper
+//! order (a registry is a set of `BTreeMap`s) and buckets ascend by upper
 //! bound, so two renders of the same registry state are byte-identical —
 //! CI gates may diff it. Series names carry their unit as a suffix
 //! (`_us`, `_bytes`, `_s`); unitless names are dimensionless counts.
@@ -239,38 +240,7 @@ impl HistSnapshot {
     }
 }
 
-/// All registered instruments.
-#[derive(Default)]
-struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
-
-/// The counter named `name`, registering it on first use.
-pub fn counter(name: &str) -> Arc<Counter> {
-    let mut map = registry().counters.lock().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(map.entry(name.to_string()).or_default())
-}
-
-/// The gauge named `name`, registering it on first use.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut map = registry().gauges.lock().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(map.entry(name.to_string()).or_default())
-}
-
-/// The histogram named `name`, registering it on first use.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    let mut map = registry().histograms.lock().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(map.entry(name.to_string()).or_default())
-}
-
-/// Point-in-time copy of the whole registry.
+/// Point-in-time copy of a whole registry.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -281,62 +251,160 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistSnapshot>,
 }
 
-/// Snapshot every registered instrument.
-pub fn snapshot() -> Snapshot {
-    let r = registry();
-    let counters = r
-        .counters
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(k, v)| (k.clone(), v.get()))
-        .collect();
-    let gauges = r
-        .gauges
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(k, v)| (k.clone(), v.get()))
-        .collect();
-    let histograms = r
-        .histograms
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(k, v)| (k.clone(), v.snapshot()))
-        .collect();
-    Snapshot { counters, gauges, histograms }
+/// A set of named instruments. The free functions ([`counter`],
+/// [`gauge`], [`histogram`], [`snapshot`], [`render_text`]) act on one
+/// process-global instance; a `Registry` value of its own keeps its
+/// series apart from everything else in the process.
+#[derive(Debug, Default)]
+pub struct Registry {
+    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
+    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
+    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
-/// Render the registry in the line-oriented text exposition format (see
-/// the module docs for the grammar).
-pub fn render_text() -> String {
-    let snap = snapshot();
-    let mut out = String::from("# geosocial-obs exposition v1\n");
-    for (name, v) in &snap.counters {
-        out.push_str(&format!("counter {name} {v}\n"));
+/// The handle named `name` in `map`, registering it on first use.
+fn entry<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
+/// A copy of `map` with every handle read through `read`.
+fn read_all<T, V>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    read: impl Fn(&T) -> V,
+) -> BTreeMap<String, V> {
+    let map = map.lock().unwrap_or_else(|e| e.into_inner());
+    map.iter().map(|(k, v)| (k.clone(), read(v))).collect()
+}
+
+impl Registry {
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
-    for (name, v) in &snap.gauges {
-        out.push_str(&format!("gauge {name} {v}\n"));
+
+    /// The counter named `name`, registering it on first use.
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        entry(&self.counters, name)
     }
-    for (name, h) in &snap.histograms {
-        out.push_str(&format!(
-            "histogram {name} count={} sum={} p50={} p95={} p99={} buckets=",
-            h.count,
-            h.sum,
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-        ));
-        for (i, (ub, c)) in h.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{ub}:{c}"));
+
+    /// The gauge named `name`, registering it on first use.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        entry(&self.gauges, name)
+    }
+
+    /// The histogram named `name`, registering it on first use.
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        entry(&self.histograms, name)
+    }
+
+    /// Snapshot every registered instrument.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            counters: read_all(&self.counters, Counter::get),
+            gauges: read_all(&self.gauges, Gauge::get),
+            histograms: read_all(&self.histograms, Histogram::snapshot),
         }
-        out.push('\n');
     }
-    out
+
+    /// Render every instrument in the line-oriented text exposition
+    /// format (see the module docs for the grammar).
+    pub fn render_text(&self) -> String {
+        let snap = self.snapshot();
+        let mut out = String::from("# geosocial-obs exposition v1\n");
+        for (name, v) in &snap.counters {
+            out.push_str(&format!("counter {name} {v}\n"));
+        }
+        for (name, v) in &snap.gauges {
+            out.push_str(&format!("gauge {name} {v}\n"));
+        }
+        for (name, h) in &snap.histograms {
+            out.push_str(&format!(
+                "histogram {name} count={} sum={} p50={} p95={} p99={} buckets=",
+                h.count,
+                h.sum,
+                h.quantile(0.50),
+                h.quantile(0.95),
+                h.quantile(0.99),
+            ));
+            for (i, (ub, c)) in h.buckets.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("{ub}:{c}"));
+            }
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Define functions that return a `&'static` handle to a series of the
+/// global registry, registered on first call and cached in a `static`,
+/// so the hot path is one relaxed atomic op:
+///
+/// ```
+/// geosocial_obs::cached_metrics! {
+///     /// Frames served.
+///     pub(crate) fn frames = counter("doc.frames");
+///     fn depth = gauge("doc.depth");
+///     fn latency = histogram("doc.latency_us");
+/// }
+/// frames().inc();
+/// ```
+#[macro_export]
+macro_rules! cached_metrics {
+    ($($(#[$doc:meta])* $vis:vis fn $name:ident = $kind:ident($series:expr);)*) => {
+        $($crate::cached_metrics!(@one $(#[$doc])* $vis $name $kind $series);)*
+    };
+    (@one $(#[$doc:meta])* $vis:vis $name:ident counter $series:expr) => {
+        $crate::cached_metrics!(@def $(#[$doc])* $vis $name Counter counter $series);
+    };
+    (@one $(#[$doc:meta])* $vis:vis $name:ident gauge $series:expr) => {
+        $crate::cached_metrics!(@def $(#[$doc])* $vis $name Gauge gauge $series);
+    };
+    (@one $(#[$doc:meta])* $vis:vis $name:ident histogram $series:expr) => {
+        $crate::cached_metrics!(@def $(#[$doc])* $vis $name Histogram histogram $series);
+    };
+    (@def $(#[$doc:meta])* $vis:vis $name:ident $ty:ident $ctor:ident $series:expr) => {
+        $(#[$doc])*
+        $vis fn $name() -> &'static $crate::$ty {
+            static H: ::std::sync::OnceLock<::std::sync::Arc<$crate::$ty>> =
+                ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::$ctor($series))
+        }
+    };
+}
+
+/// The process-global registry behind the free functions.
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(Registry::default)
+}
+
+/// The global counter named `name`, registering it on first use.
+pub fn counter(name: &str) -> Arc<Counter> {
+    registry().counter(name)
+}
+
+/// The global gauge named `name`, registering it on first use.
+pub fn gauge(name: &str) -> Arc<Gauge> {
+    registry().gauge(name)
+}
+
+/// The global histogram named `name`, registering it on first use.
+pub fn histogram(name: &str) -> Arc<Histogram> {
+    registry().histogram(name)
+}
+
+/// Snapshot every instrument of the global registry.
+pub fn snapshot() -> Snapshot {
+    registry().snapshot()
+}
+
+/// Render the global registry in the text exposition format.
+pub fn render_text() -> String {
+    registry().render_text()
 }
 
 /// One periodic capture of the whole registry (see [`history_tick`]).
@@ -440,12 +508,13 @@ mod tests {
     fn exposition_is_deterministic_and_sorted() {
         // Register out of order; the exposition must sort by name and be
         // byte-identical across renders.
-        counter("test.render.b").inc();
-        counter("test.render.a").inc();
-        histogram("test.render.h_us").observe(3);
-        histogram("test.render.h_us").observe(300);
-        let once = render_text();
-        let twice = render_text();
+        let r = Registry::new();
+        r.counter("test.render.b").inc();
+        r.counter("test.render.a").inc();
+        r.histogram("test.render.h_us").observe(3);
+        r.histogram("test.render.h_us").observe(300);
+        let once = r.render_text();
+        let twice = r.render_text();
         assert_eq!(once, twice, "render_text must be deterministic");
         let a = once.find("counter test.render.a").unwrap();
         let b = once.find("counter test.render.b").unwrap();
@@ -478,39 +547,52 @@ mod tests {
     #[cfg(not(feature = "noop"))]
     #[test]
     fn registry_returns_shared_handles_and_renders() {
-        let c = counter("test.metrics.shared");
-        let c2 = counter("test.metrics.shared");
+        let r = Registry::new();
+        let c = r.counter("test.metrics.shared");
+        let c2 = r.counter("test.metrics.shared");
         c.add(5);
         c2.inc();
         assert_eq!(c.get(), 6);
 
-        let g = gauge("test.metrics.gauge");
+        let g = r.gauge("test.metrics.gauge");
         g.set(7);
         g.dec();
         assert_eq!(g.get(), 6);
 
-        let h = histogram("test.metrics.hist");
+        let h = r.histogram("test.metrics.hist");
         h.observe(9);
 
-        let text = render_text();
-        assert!(text.starts_with("# geosocial-obs exposition v1\n"), "{text}");
-        assert!(text.contains("counter test.metrics.shared 6\n"), "{text}");
-        assert!(text.contains("gauge test.metrics.gauge 6\n"), "{text}");
-        assert!(text.contains("histogram test.metrics.hist count=1 sum=9"), "{text}");
-        assert!(text.contains("buckets=15:1"), "{text}");
+        let text = r.render_text();
+        assert_eq!(
+            text,
+            "# geosocial-obs exposition v1\n\
+             counter test.metrics.shared 6\n\
+             gauge test.metrics.gauge 6\n\
+             histogram test.metrics.hist count=1 sum=9 p50=15 p95=15 p99=15 buckets=15:1\n"
+        );
 
-        let snap = snapshot();
+        let snap = r.snapshot();
         assert_eq!(snap.counters["test.metrics.shared"], 6);
         assert_eq!(snap.histograms["test.metrics.hist"].count, 1);
+    }
+
+    #[cfg(not(feature = "noop"))]
+    #[test]
+    fn registries_are_independent() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("test.registry.c").add(3);
+        assert_eq!(b.counter("test.registry.c").get(), 0);
+        assert!(!snapshot().counters.contains_key("test.registry.c"));
     }
 
     #[cfg(feature = "noop")]
     #[test]
     fn noop_feature_disables_mutation() {
-        let c = counter("test.noop.counter");
+        let r = Registry::new();
+        let c = r.counter("test.noop.counter");
         c.add(5);
         assert_eq!(c.get(), 0);
-        let h = histogram("test.noop.hist");
+        let h = r.histogram("test.noop.hist");
         h.observe(9);
         assert_eq!(h.count(), 0);
     }

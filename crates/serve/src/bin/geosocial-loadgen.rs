@@ -1,5 +1,5 @@
 //! `geosocial-loadgen`: replay a generated scenario against a
-//! `geosocial-serve` instance and write a `BENCH_serve.json` report
+//! `geosocial-serve` instance and write a JSON report
 //! (throughput, p50/p95/p99 latency, final server counters).
 //!
 //! With `--spawn` the load generator hosts the server itself on an
@@ -47,7 +47,7 @@ usage: geosocial-loadgen [options]
                      trace-event JSON (chrome://tracing / Perfetto)
   --drain            request a finalizing Drain (report residual state)
                      before Shutdown
-  --out PATH         report path (default BENCH_serve.json)
+  --out PATH         report path (default loadgen-report.json)
   --shutdown         send Shutdown when done (implied by --spawn)
   --help             print this message";
 
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Cli, String> {
         shards: 4,
         shutdown: false,
         drain: false,
-        out: "BENCH_serve.json".to_string(),
+        out: "loadgen-report.json".to_string(),
         trace_out: None,
         load: LoadgenConfig::default(),
     };

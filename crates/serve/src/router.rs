@@ -65,35 +65,27 @@ use crate::protocol::{read_frame_into, Request, Response, TraceSpan};
 use crate::server::{history_report, is_timeout, wire_span, ConnSlots, SlotGuard};
 use crate::wire::{self, RoutePeek, WireFormat};
 use geosocial_obs::trace::{self, SpanRecord, TraceContext};
+use geosocial_store::CodecError;
 
 mod metrics {
-    use geosocial_obs::{counter, histogram, Counter, Histogram};
-    use std::sync::{Arc, OnceLock};
-
-    macro_rules! cached {
-        ($fn_name:ident, $ctor:ident, $ty:ty, $name:literal) => {
-            pub(super) fn $fn_name() -> &'static $ty {
-                static H: OnceLock<Arc<$ty>> = OnceLock::new();
-                H.get_or_init(|| $ctor($name))
-            }
-        };
+    geosocial_obs::cached_metrics! {
+        pub(super) fn frames_user = counter("router.frames.user");
+        pub(super) fn frames_broadcast = counter("router.frames.broadcast");
+        pub(super) fn frames_control = counter("router.frames.control");
+        pub(super) fn frames_wire_json = counter("router.frames.wire.json");
+        pub(super) fn frames_wire_binary = counter("router.frames.wire.binary");
+        pub(super) fn reconnects = counter("router.reconnects");
+        pub(super) fn replayed = counter("router.replayed");
+        pub(super) fn handoffs = counter("router.handoffs");
+        pub(super) fn conn_errors = counter("router.conn.errors");
+        pub(super) fn conn_timeouts = counter("router.conn.timeouts");
+        pub(super) fn link_errors = counter("router.link.errors");
+        pub(super) fn decode_errors = counter("router.decode_errors");
+        pub(super) fn bytes_in = counter("router.bytes_in");
+        pub(super) fn bytes_out = counter("router.bytes_out");
+        pub(super) fn latency_forward = histogram("router.latency_us.forward");
+        pub(super) fn latency_broadcast = histogram("router.latency_us.broadcast");
     }
-
-    cached!(frames_user, counter, Counter, "router.frames.user");
-    cached!(frames_broadcast, counter, Counter, "router.frames.broadcast");
-    cached!(frames_control, counter, Counter, "router.frames.control");
-    cached!(frames_wire_json, counter, Counter, "router.frames.wire.json");
-    cached!(frames_wire_binary, counter, Counter, "router.frames.wire.binary");
-    cached!(reconnects, counter, Counter, "router.reconnects");
-    cached!(replayed, counter, Counter, "router.replayed");
-    cached!(handoffs, counter, Counter, "router.handoffs");
-    cached!(conn_errors, counter, Counter, "router.conn.errors");
-    cached!(conn_timeouts, counter, Counter, "router.conn.timeouts");
-    cached!(link_errors, counter, Counter, "router.link.errors");
-    cached!(bytes_in, counter, Counter, "router.bytes_in");
-    cached!(bytes_out, counter, Counter, "router.bytes_out");
-    cached!(latency_forward, histogram, Histogram, "router.latency_us.forward");
-    cached!(latency_broadcast, histogram, Histogram, "router.latency_us.broadcast");
 }
 
 /// Tuning for one router process.
@@ -529,6 +521,14 @@ fn send_inline(owed_tx: &mpsc::Sender<Owed>, fmt: WireFormat, resp: &Response) -
         .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "responder gone"))
 }
 
+/// Answer a frame the router cannot route or decode with an `Error`, as a
+/// shard server does: the connection reads on, and no link (nor its
+/// replay log) ever sees the frame.
+fn reject(owed_tx: &mpsc::Sender<Owed>, fmt: WireFormat, e: CodecError) -> io::Result<()> {
+    metrics::decode_errors().inc();
+    send_inline(owed_tx, fmt, &Response::Error { message: e.to_string() })
+}
+
 /// Handle a broadcast or control frame (already fully decoded — these
 /// are rare next to the user-routed hot path).
 #[allow(clippy::too_many_arguments)]
@@ -681,8 +681,14 @@ fn forward_loop(
         };
         metrics::bytes_in().add(len as u64 + 4);
         let payload = &in_buf[..len];
-        let (route, ctx) = wire::peek_route(payload)?;
         let fmt = wire::detect(payload);
+        let (route, ctx) = match wire::peek_route(payload) {
+            Ok(peeked) => peeked,
+            Err(e) => {
+                reject(owed_tx, fmt, e)?;
+                continue;
+            }
+        };
         match fmt {
             WireFormat::Json => metrics::frames_wire_json().inc(),
             WireFormat::Binary => metrics::frames_wire_binary().inc(),
@@ -708,7 +714,13 @@ fn forward_loop(
                     .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "responder gone"))?;
             }
             RoutePeek::Broadcast | RoutePeek::Control => {
-                let (req, fmt, _) = wire::decode_request_traced(payload)?;
+                let (req, fmt, _) = match wire::decode_request_traced(payload) {
+                    Ok(decoded) => decoded,
+                    Err(e) => {
+                        reject(owed_tx, fmt, e)?;
+                        continue;
+                    }
+                };
                 handle_wide(req, fmt, payload, conn, shared, owed_tx, self_addr)?;
             }
         }

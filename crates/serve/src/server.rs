@@ -98,49 +98,40 @@ use crate::wire::{self, WireFormat};
 /// Per-shard series (`serve.shard.N.*`) are indexed by shard count and
 /// live in [`ShardMetrics`] instead.
 mod metrics {
-    use geosocial_obs::{counter, histogram, Counter, Histogram};
-    use std::sync::{Arc, OnceLock};
-
-    macro_rules! cached {
-        ($fn_name:ident, $ctor:ident, $ty:ty, $name:literal) => {
-            pub(super) fn $fn_name() -> &'static $ty {
-                static H: OnceLock<Arc<$ty>> = OnceLock::new();
-                H.get_or_init(|| $ctor($name))
-            }
-        };
+    geosocial_obs::cached_metrics! {
+        pub(super) fn events_gps = counter("serve.events.gps");
+        pub(super) fn events_checkin = counter("serve.events.checkin");
+        pub(super) fn queries = counter("serve.queries");
+        pub(super) fn verdicts = counter("serve.verdicts");
+        pub(super) fn duplicates = counter("serve.duplicates");
+        pub(super) fn recoveries = counter("serve.recoveries");
+        pub(super) fn conn_timeouts = counter("serve.conn.timeouts");
+        pub(super) fn conn_errors = counter("serve.conn.errors");
+        pub(super) fn drains = counter("serve.drains");
+        pub(super) fn decode_errors = counter("serve.decode_errors");
+        pub(super) fn latency_hello = histogram("serve.latency_us.hello");
+        pub(super) fn latency_gps = histogram("serve.latency_us.gps");
+        pub(super) fn latency_run = histogram("serve.latency_us.run");
+        pub(super) fn latency_checkin = histogram("serve.latency_us.checkin");
+        pub(super) fn latency_user = histogram("serve.latency_us.user");
+        pub(super) fn latency_asof = histogram("serve.latency_us.asof");
+        pub(super) fn latency_window = histogram("serve.latency_us.window");
+        pub(super) fn latency_stats = histogram("serve.latency_us.stats");
+        pub(super) fn latency_finish = histogram("serve.latency_us.finish");
+        pub(super) fn latency_drain = histogram("serve.latency_us.drain");
+        pub(super) fn latency_metrics = histogram("serve.latency_us.metrics");
+        pub(super) fn latency_traces = histogram("serve.latency_us.traces");
+        pub(super) fn latency_history = histogram("serve.latency_us.history");
+        // Per-wire-format series: each served request also lands in the
+        // histogram of the format it arrived in, and the byte counters track
+        // framed sizes (length prefix included) per direction and format.
+        pub(super) fn latency_wire_json = histogram("serve.latency_us.wire_json");
+        pub(super) fn latency_wire_binary = histogram("serve.latency_us.wire_binary");
+        pub(super) fn bytes_in_json = counter("serve.bytes_in.json");
+        pub(super) fn bytes_in_binary = counter("serve.bytes_in.binary");
+        pub(super) fn bytes_out_json = counter("serve.bytes_out.json");
+        pub(super) fn bytes_out_binary = counter("serve.bytes_out.binary");
     }
-
-    cached!(events_gps, counter, Counter, "serve.events.gps");
-    cached!(events_checkin, counter, Counter, "serve.events.checkin");
-    cached!(queries, counter, Counter, "serve.queries");
-    cached!(verdicts, counter, Counter, "serve.verdicts");
-    cached!(duplicates, counter, Counter, "serve.duplicates");
-    cached!(recoveries, counter, Counter, "serve.recoveries");
-    cached!(conn_timeouts, counter, Counter, "serve.conn.timeouts");
-    cached!(conn_errors, counter, Counter, "serve.conn.errors");
-    cached!(drains, counter, Counter, "serve.drains");
-    cached!(latency_hello, histogram, Histogram, "serve.latency_us.hello");
-    cached!(latency_gps, histogram, Histogram, "serve.latency_us.gps");
-    cached!(latency_run, histogram, Histogram, "serve.latency_us.run");
-    cached!(latency_checkin, histogram, Histogram, "serve.latency_us.checkin");
-    cached!(latency_user, histogram, Histogram, "serve.latency_us.user");
-    cached!(latency_asof, histogram, Histogram, "serve.latency_us.asof");
-    cached!(latency_window, histogram, Histogram, "serve.latency_us.window");
-    cached!(latency_stats, histogram, Histogram, "serve.latency_us.stats");
-    cached!(latency_finish, histogram, Histogram, "serve.latency_us.finish");
-    cached!(latency_drain, histogram, Histogram, "serve.latency_us.drain");
-    cached!(latency_metrics, histogram, Histogram, "serve.latency_us.metrics");
-    cached!(latency_traces, histogram, Histogram, "serve.latency_us.traces");
-    cached!(latency_history, histogram, Histogram, "serve.latency_us.history");
-    // Per-wire-format series: each served request also lands in the
-    // histogram of the format it arrived in, and the byte counters track
-    // framed sizes (length prefix included) per direction and format.
-    cached!(latency_wire_json, histogram, Histogram, "serve.latency_us.wire_json");
-    cached!(latency_wire_binary, histogram, Histogram, "serve.latency_us.wire_binary");
-    cached!(bytes_in_json, counter, Counter, "serve.bytes_in.json");
-    cached!(bytes_in_binary, counter, Counter, "serve.bytes_in.binary");
-    cached!(bytes_out_json, counter, Counter, "serve.bytes_out.json");
-    cached!(bytes_out_binary, counter, Counter, "serve.bytes_out.binary");
 }
 
 /// One shard's exported series. Created once per worker; the queue gauge
@@ -1348,8 +1339,18 @@ fn handle_conn(
         // Decode straight from the connection buffer; the format tag picks
         // the codec per frame, so JSON and binary clients share the port
         // (and a client may interleave formats). A trace-context envelope,
-        // when present, peels off here and rides the shard message.
-        let (req, wire_fmt, ctx) = wire::decode_request_traced(&in_buf[..len])?;
+        // when present, peels off here and rides the shard message. Frames
+        // are length-prefixed, so an undecodable one is answered with an
+        // `Error` in its detected format and the connection reads on.
+        let (req, wire_fmt, ctx) = match wire::decode_request_traced(&in_buf[..len]) {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                metrics::decode_errors().inc();
+                let resp = Response::Error { message: e.to_string() };
+                write_response(&mut writer, &mut out_buf, &resp, wire::detect(&in_buf[..len]))?;
+                continue;
+            }
+        };
         match wire_fmt {
             WireFormat::Json => metrics::bytes_in_json().add(len as u64 + 4),
             WireFormat::Binary => metrics::bytes_in_binary().add(len as u64 + 4),
@@ -1488,18 +1489,28 @@ fn handle_conn(
             WireFormat::Json => metrics::latency_wire_json().observe(us),
             WireFormat::Binary => metrics::latency_wire_binary().observe(us),
         }
-        // Answer in the format the request arrived in (control-plane
-        // responses stay JSON; see `crate::wire`).
-        out_buf.clear();
-        wire::encode_response_frame(&mut out_buf, &resp, wire_fmt)?;
-        match wire_fmt {
-            WireFormat::Json => metrics::bytes_out_json().add(out_buf.len() as u64),
-            WireFormat::Binary => metrics::bytes_out_binary().add(out_buf.len() as u64),
-        }
-        writer.write_all(&out_buf)?;
-        writer.flush()?;
+        write_response(&mut writer, &mut out_buf, &resp, wire_fmt)?;
     }
     Ok(())
+}
+
+/// Frame `resp` into `out_buf` and write it. It is answered in the format
+/// the request arrived in (control-plane responses stay JSON; see
+/// `crate::wire`).
+fn write_response(
+    writer: &mut BufWriter<TcpStream>,
+    out_buf: &mut Vec<u8>,
+    resp: &Response,
+    wire_fmt: WireFormat,
+) -> io::Result<()> {
+    out_buf.clear();
+    wire::encode_response_frame(out_buf, resp, wire_fmt)?;
+    match wire_fmt {
+        WireFormat::Json => metrics::bytes_out_json().add(out_buf.len() as u64),
+        WireFormat::Binary => metrics::bytes_out_binary().add(out_buf.len() as u64),
+    }
+    writer.write_all(out_buf)?;
+    writer.flush()
 }
 
 use crate::merge::shard_gone;

@@ -113,7 +113,9 @@
 //! wire it came on: each position in `Hello`, `Gps`, `GpsRun` and
 //! `Checkin` must be finite with |lat| ≤ 90. A violation is a
 //! [`CodecError`] naming the field, at the offset of the request that
-//! carries it. [`decode_request_binary`] alone stays a lossless codec: it
+//! carries it; the server and the router answer it with `Response::Error`
+//! (counted in `serve.decode_errors` / `router.decode_errors`) and keep
+//! the connection. [`decode_request_binary`] alone stays a lossless codec: it
 //! round-trips any bit pattern, and rejects only malformed bytes (a run
 //! timestamp that overflows `i64` among them).
 

@@ -215,8 +215,8 @@ fn protocol_guards_reject_bad_sessions() {
 }
 
 /// Positions are validated once, after decode: a NaN fix inside a stay is
-/// rejected (the server drops the connection that sent it) and the audit
-/// never sees it. Unvalidated, in a release build, the one NaN fix split
+/// rejected with a typed `Error` on the connection that sent it, which
+/// then carries on, and the audit never sees the fix. Unvalidated, in a release build, the one NaN fix split
 /// the stay's visit in two. User 2 replays user 1's trace plus the
 /// rejected fix; both must end with the same composition.
 #[test]
@@ -224,18 +224,10 @@ fn nan_fix_inside_a_stay_is_rejected_and_leaves_the_audit_unchanged() {
     let server = spawn(ServerConfig { shards: 2, ..ServerConfig::default() }, "127.0.0.1:0")
         .expect("bind ephemeral port");
     let addr = server.addr();
-    let connect = || {
-        let stream = TcpStream::connect(addr).expect("connect");
-        (BufWriter::new(stream.try_clone().expect("clone")), BufReader::new(stream))
-    };
-    let send = |w: &mut BufWriter<TcpStream>, req: &Request| {
-        let mut frame = Vec::new();
-        wire::encode_request_frame(&mut frame, req, WireFormat::Binary).expect("encode");
-        w.write_all(&frame).and_then(|()| w.flush())
-    };
     let ask = |w: &mut BufWriter<TcpStream>, r: &mut BufReader<TcpStream>, req: &Request| {
-        send(w, req).expect("write");
         let mut buf = Vec::new();
+        wire::encode_request_frame(&mut buf, req, WireFormat::Binary).expect("encode");
+        w.write_all(&buf).and_then(|()| w.flush()).expect("write");
         let len = read_frame_into(r, &mut buf).expect("read").expect("response");
         wire::decode_response(&buf[..len]).expect("decode")
     };
@@ -252,7 +244,9 @@ fn nan_fix_inside_a_stay_is_rejected_and_leaves_the_audit_unchanged() {
         lon,
     };
 
-    let (mut w, mut r) = connect();
+    let stream = TcpStream::connect(addr).expect("connect");
+    let (mut w, mut r) =
+        (BufWriter::new(stream.try_clone().expect("clone")), BufReader::new(stream));
     assert!(matches!(
         ask(&mut w, &mut r, &Request::Hello { origin_lat: 34.42, origin_lon: -119.86 }),
         Response::Ok
@@ -270,9 +264,7 @@ fn nan_fix_inside_a_stay_is_rejected_and_leaves_the_audit_unchanged() {
         ));
     }
 
-    // Minutes 20..25 of the stay as one run whose third fix is NaN, on its
-    // own connection.
-    let (mut bad_w, mut bad_r) = connect();
+    // Minutes 20..25 of the stay as one run whose third fix is NaN.
     let fixes = (20..25)
         .map(|i| {
             let (t, lat, lon) = fix(i);
@@ -280,11 +272,13 @@ fn nan_fix_inside_a_stay_is_rejected_and_leaves_the_audit_unchanged() {
         })
         .collect();
     let run = Request::GpsRun { user: 2, first_seq: 20, fixes };
-    let answer = send(&mut bad_w, &run).and_then(|()| read_frame_into(&mut bad_r, &mut Vec::new()));
-    assert!(!matches!(answer, Ok(Some(_))), "a NaN fix must be rejected, not answered: {answer:?}");
+    match ask(&mut w, &mut r, &run) {
+        Response::Error { message } => assert!(message.contains("finite"), "got: {message}"),
+        other => panic!("a NaN fix must be rejected with Error, got {other:?}"),
+    }
 
-    // The rejected run took no seq: the rest of the trace continues from
-    // seq 20.
+    // The rejected run took no seq: the same connection continues the
+    // trace from seq 20.
     for i in 20..55 {
         assert!(matches!(
             ask(&mut w, &mut r, &gps(2, i as u64, fix(i))),
@@ -321,5 +315,44 @@ fn nan_fix_inside_a_stay_is_rejected_and_leaves_the_audit_unchanged() {
     drop(w);
     drop(r);
     shutdown_server(addr).expect("shutdown accepted");
+    server.join().expect("server exits cleanly");
+}
+
+/// The router answers a frame it cannot route (unknown opcode) with
+/// `Error` itself, and relays a shard's `Error` for an invalid run; either
+/// way the client's connection carries on to its next frame.
+#[test]
+fn router_relays_errors_and_keeps_the_connection() {
+    use geosocial_serve::router::{self, RouterConfig};
+    let server = spawn(ServerConfig { shards: 2, ..ServerConfig::default() }, "127.0.0.1:0")
+        .expect("bind ephemeral port");
+    let config = RouterConfig { shards: vec![server.addr()], ..RouterConfig::default() };
+    let router = router::spawn(config, "127.0.0.1:0").expect("bind router");
+    let stream = TcpStream::connect(router.addr()).expect("connect");
+    let (mut w, mut r) =
+        (BufWriter::new(stream.try_clone().expect("clone")), BufReader::new(stream));
+    let frame = |req: &Request| {
+        let mut frame = Vec::new();
+        wire::encode_request_frame(&mut frame, req, WireFormat::Binary).expect("encode");
+        frame
+    };
+    let mut ask = |frame: &[u8]| {
+        w.write_all(frame).and_then(|()| w.flush()).expect("write");
+        let mut buf = Vec::new();
+        let len = read_frame_into(&mut r, &mut buf).expect("read").expect("response");
+        wire::decode_response(&buf[..len]).expect("decode")
+    };
+    let hello = Request::Hello { origin_lat: 34.42, origin_lon: -119.86 };
+    assert!(matches!(ask(&frame(&hello)), Response::Ok));
+    let nan = WireFix { t: 0, lat: f64::NAN, lon: -119.86 };
+    let run = Request::GpsRun { user: 7, first_seq: 0, fixes: vec![nan] };
+    let answer = ask(&frame(&run));
+    assert!(matches!(answer, Response::Error { .. }), "the shard's Error reaches the client");
+    assert!(matches!(ask(&[0, 0, 0, 1, 0xFF]), Response::Error { .. }), "unknown opcode");
+    let gps = Request::Gps { user: 7, seq: 0, t: 0, lat: 34.42, lon: -119.86 };
+    assert!(matches!(ask(&frame(&gps)), Response::Verdicts { .. }), "the connection carries on");
+    drop((w, r));
+    shutdown_server(router.addr()).expect("shutdown through the router");
+    router.join().expect("router exits cleanly");
     server.join().expect("server exits cleanly");
 }

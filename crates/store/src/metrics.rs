@@ -3,72 +3,35 @@
 //! same series, which the serving layer exposes over its live `Metrics`
 //! request alongside the serve/stream series.
 
-use geosocial_obs::{counter, gauge, histogram, Counter, Gauge, Histogram};
-use std::sync::{Arc, OnceLock};
-
-macro_rules! cached {
-    ($(#[$doc:meta])* $name:ident, $ctor:ident, $ty:ty, $series:expr) => {
-        $(#[$doc])*
-        pub(crate) fn $name() -> &'static $ty {
-            static H: OnceLock<Arc<$ty>> = OnceLock::new();
-            H.get_or_init(|| $ctor($series))
-        }
-    };
-}
-
-cached!(
+geosocial_obs::cached_metrics! {
     /// Records appended across all stores.
-    appends, counter, Counter, "store.appends"
-);
-cached!(
+    pub(crate) fn appends = counter("store.appends");
     /// Segment files across all open stores (sealed + active).
-    segments, gauge, Gauge, "store.segments"
-);
-cached!(
+    pub(crate) fn segments = gauge("store.segments");
     /// Total log bytes across all open stores — the full queryable
     /// history; segments are never deleted.
-    bytes_total, gauge, Gauge, "store.bytes.total"
-);
-cached!(
+    pub(crate) fn bytes_total = gauge("store.bytes.total");
     /// Log bytes past the last durable snapshot — the recovery delta.
-    bytes_live, gauge, Gauge, "store.bytes.live"
-);
-cached!(
+    pub(crate) fn bytes_live = gauge("store.bytes.live");
     /// Durable snapshots written (each one compacts the recovery delta
     /// to zero and garbage-collects older snapshot files).
-    compactions, counter, Counter, "store.compactions"
-);
-cached!(
+    pub(crate) fn compactions = counter("store.compactions");
     /// Snapshot file bytes written. Over `store.bytes.total` this is the
     /// snapshot write amplification.
-    snapshot_bytes, counter, Counter, "store.snapshot.bytes"
-);
-cached!(
+    pub(crate) fn snapshot_bytes = counter("store.snapshot.bytes");
     /// Obsolete snapshot files garbage-collected.
-    snapshots_gc, counter, Counter, "store.snapshots.gc"
-);
-cached!(
+    pub(crate) fn snapshots_gc = counter("store.snapshots.gc");
     /// Records replayed past the snapshot on open — the O(delta)
     /// recovery length.
-    recovery_replayed, counter, Counter, "store.recovery.replayed"
-);
-cached!(
+    pub(crate) fn recovery_replayed = counter("store.recovery.replayed");
     /// Torn segment tails truncated away on open.
-    torn_truncated, counter, Counter, "store.torn.truncated"
-);
-cached!(
+    pub(crate) fn torn_truncated = counter("store.torn.truncated");
     /// Injected short writes repaired by the flush path.
-    fs_short_writes, counter, Counter, "store.fs.short_writes"
-);
-cached!(
+    pub(crate) fn fs_short_writes = counter("store.fs.short_writes");
     /// Injected flush failures surfaced to the caller.
-    fs_flush_failures, counter, Counter, "store.fs.flush_failures"
-);
-cached!(
+    pub(crate) fn fs_flush_failures = counter("store.fs.flush_failures");
     /// Append latency (µs), log2 buckets.
-    append_us, histogram, Histogram, "store.latency_us.append"
-);
-cached!(
+    pub(crate) fn append_us = histogram("store.latency_us.append");
     /// Flush latency (µs), log2 buckets.
-    flush_us, histogram, Histogram, "store.latency_us.flush"
-);
+    pub(crate) fn flush_us = histogram("store.latency_us.flush");
+}

@@ -41,42 +41,22 @@ mod watermark;
 /// process-global: every auditor, detector and reorderer in the process
 /// feeds the same series.
 pub(crate) mod metrics {
-    use geosocial_obs::{counter, gauge, histogram, Counter, Gauge, Histogram};
-    use std::sync::{Arc, OnceLock};
-
-    /// Events dropped for arriving later than the allowed lateness —
-    /// reorderer, auditor frontier and detector drop sites combined,
-    /// matching the `late_dropped` composition totals 1:1.
-    pub(crate) fn late_dropped() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("stream.late_dropped"))
-    }
-
-    /// Checkins force-finalized by the per-user pending budget.
-    pub(crate) fn forced_finalize() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("stream.forced_finalize"))
-    }
-
-    /// Stay windows force-closed by the detector's fix budget.
-    pub(crate) fn forced_closures() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("stream.forced_closures"))
-    }
-
-    /// Events currently held by reorder buffers (aggregate occupancy;
-    /// cloning a buffer mid-stream skews it, which no production path
-    /// does).
-    pub(crate) fn reorder_held() -> &'static Gauge {
-        static H: OnceLock<Arc<Gauge>> = OnceLock::new();
-        H.get_or_init(|| gauge("stream.reorder.held"))
-    }
-
-    /// Watermark lag per offered event: how far (seconds) behind the
-    /// post-update watermark its timestamp is. 0 for in-order input.
-    pub(crate) fn watermark_lag_s() -> &'static Histogram {
-        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-        H.get_or_init(|| histogram("stream.watermark.lag_s"))
+    geosocial_obs::cached_metrics! {
+        /// Events dropped for arriving later than the allowed lateness —
+        /// reorderer, auditor frontier and detector drop sites combined,
+        /// matching the `late_dropped` composition totals 1:1.
+        pub(crate) fn late_dropped = counter("stream.late_dropped");
+        /// Checkins force-finalized by the per-user pending budget.
+        pub(crate) fn forced_finalize = counter("stream.forced_finalize");
+        /// Stay windows force-closed by the detector's fix budget.
+        pub(crate) fn forced_closures = counter("stream.forced_closures");
+        /// Events currently held by reorder buffers (aggregate occupancy;
+        /// cloning a buffer mid-stream skews it, which no production path
+        /// does).
+        pub(crate) fn reorder_held = gauge("stream.reorder.held");
+        /// Watermark lag per offered event: how far (seconds) behind the
+        /// post-update watermark its timestamp is. 0 for in-order input.
+        pub(crate) fn watermark_lag_s = histogram("stream.watermark.lag_s");
     }
 }
 

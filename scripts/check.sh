@@ -24,9 +24,7 @@
 #      tracing at 1/64 — of at most 5%,
 #   5. a scenario registry gate: every family `repro list-scenarios`
 #      prints must round-trip through `repro --scenario NAME` and appear
-#      in the emitted scorecard, and the committed BENCH_scenario.json
-#      (scripts/bench_scenario.sh) must cover the whole registry with
-#      batch-verified replays.
+#      in the emitted scorecard.
 #
 # Usage: scripts/check.sh
 # Exits non-zero on the first failure.
@@ -148,31 +146,6 @@ awk -v o="$overhead" 'BEGIN { exit !(o <= 5.0) }' \
     || { echo "error: instrumentation overhead ${overhead}% exceeds the 5% budget" >&2; exit 1; }
 echo "   committed overhead: ${overhead}%"
 
-echo "==> cluster bench gate: BENCH_cluster.json schema + throughput ratio"
-for field in procs workers_per_proc single_events_per_sec cluster_events_per_sec \
-             cluster_over_single; do
-    grep -q "\"$field\":" BENCH_cluster.json \
-        || { echo "error: BENCH_cluster.json lacks \"$field\"" >&2; exit 1; }
-done
-procs="$(grep -o '"procs": [0-9]*' BENCH_cluster.json | grep -o '[0-9]*$')"
-[ "$procs" -ge 8 ] \
-    || { echo "error: BENCH_cluster.json measured only $procs shard processes (need >= 8)" >&2; exit 1; }
-# Both embedded reports must be batch-verified replays, and the cluster one
-# must carry the shard map it replayed into (loadgen --router mode).
-verified="$(grep -c '"verified": true' BENCH_cluster.json || true)"
-[ "$verified" -ge 2 ] \
-    || { echo "error: BENCH_cluster.json embeds $verified verified reports (need 2)" >&2; exit 1; }
-grep -q '"cluster": {' BENCH_cluster.json \
-    || { echo "error: BENCH_cluster.json's cluster report lacks the shard map" >&2; exit 1; }
-single_eps="$(grep -o '"single_events_per_sec": [0-9.]*' BENCH_cluster.json | grep -o '[0-9.]*$')"
-cluster_eps="$(grep -o '"cluster_events_per_sec": [0-9.]*' BENCH_cluster.json | grep -o '[0-9.]*$')"
-total_events="$(grep -o '"total_events": [0-9]*' BENCH_cluster.json | head -n1 | grep -o '[0-9]*$')"
-[ "$total_events" -ge 100000 ] \
-    || { echo "error: cluster bench replayed only $total_events events (need >= 100000)" >&2; exit 1; }
-awk -v s="$single_eps" -v c="$cluster_eps" 'BEGIN { exit !(c >= 0.8 * s) }' \
-    || { echo "error: cluster throughput $cluster_eps ev/s is below 0.8x single-process $single_eps ev/s" >&2; exit 1; }
-echo "   $procs shard processes, $total_events events: cluster $cluster_eps ev/s vs single $single_eps ev/s"
-
 echo "==> scenario registry gate: every family round-trips through repro --scenario"
 cargo build --release -p geosocial-experiments
 scen_dir="$(mktemp -d -t scen_gate.XXXXXX)"
@@ -192,15 +165,5 @@ rm -rf "$scen_dir"
 [ "$scen_count" -ge 5 ] \
     || { echo "error: only $scen_count scenario families registered (need >= 5)" >&2; exit 1; }
 echo "   $scen_count families round-tripped"
-
-echo "==> scenario bench gate: BENCH_scenario.json covers the registry, all verified"
-for family in $families; do
-    grep -q "\"$family\":" BENCH_scenario.json \
-        || { echo "error: BENCH_scenario.json lacks family \"$family\"" >&2; exit 1; }
-done
-scen_verified="$(grep -c '"verified": true' BENCH_scenario.json || true)"
-[ "$scen_verified" -ge "$scen_count" ] \
-    || { echo "error: BENCH_scenario.json has $scen_verified verified rows (need $scen_count)" >&2; exit 1; }
-echo "   $scen_count families benched, all batch-verified"
 
 echo "==> all checks passed"

@@ -29,28 +29,23 @@
 #                      a short batch-verified replay on each wire format
 #                      (fresh processes per wire — a finished stream
 #                      cannot be replayed twice)
-#   8. store smoke   — the event-store micro-benchmark at a reduced scale,
-#                      exercising append/segment-roll/snapshot/reopen/query
-#                      through the shipped geosocial-store-bench binary;
-#                      the report must carry the AsOf query latency
-#   8b. scenario smoke — two scenario families (one social, one
-#                      adversarial) replayed end-to-end through a spawned
-#                      server with the batch-equivalence oracle on; the
-#                      full registry round-trip is gated by check.sh
+#   8. scenario smoke — every family `geosocial-loadgen --list-scenarios`
+#                      prints, replayed end-to-end through a spawned server
+#                      with the batch-equivalence oracle on
 #   9. bench files   — every committed BENCH_*.json must parse as JSON
 #                      (check.sh gates their contents; this catches a
 #                      half-written or hand-mangled report early)
 #  10. check.sh      — tier-1 gate + serving/observability smokes over a
-#                      real TCP server, plus the committed-bench gates
+#                      real TCP server, plus the committed overhead gate
 #
 # Usage: scripts/ci.sh [step...]   (no args = all steps)
-# Steps: fmt clippy build test perfbench chaos wire trace cluster store
-#        scenario bench check
+# Steps: fmt clippy build test perfbench chaos wire trace cluster scenario
+#        bench check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build test perfbench chaos wire trace cluster store scenario bench check)
+[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build test perfbench chaos wire trace cluster scenario bench check)
 
 want() {
     local s
@@ -228,29 +223,13 @@ if want cluster; then
     rm -rf "$cluster_dir"
 fi
 
-if want store; then
-    echo "==> ci: event-store smoke (reduced-scale bench)"
-    cargo build --release -p geosocial-store
-    store_out="$(mktemp -t bench_store_smoke.XXXXXX.json)"
-    ./target/release/geosocial-store-bench 20000 64 64 > "$store_out"
-    grep -q '"append_per_s"' "$store_out" \
-        || { echo "error: store bench produced no report" >&2; exit 1; }
-    # The per-user read path (stretch-anchored AsOf queries) has no other
-    # smoke test: the report must carry its latency.
-    grep -q '"asof_query_us"' "$store_out" \
-        || { echo "error: store bench report lacks asof_query_us" >&2; exit 1; }
-    rm -f "$store_out"
-fi
-
 if want scenario; then
-    echo "==> ci: scenario smoke (geosim + spoof-swarm served, batch-verified)"
+    echo "==> ci: scenario smoke (every registered family served, batch-verified)"
     cargo build --release -p geosocial-serve
-    scen_out="$(mktemp -t bench_scenario_smoke.XXXXXX.json)"
-    # One social family and one adversarial family: geosim exercises the
-    # cross-user similarity barrier, spoof-swarm the fabricated-GPS path
-    # (checkins built outside simulate_checkins). Both must verify against
-    # the batch pipeline through a real server.
-    for family in geosim spoof-swarm; do
+    scen_out="$(mktemp -t scenario_smoke.XXXXXX.json)"
+    families="$(./target/release/geosocial-loadgen --list-scenarios | awk '{print $1}')"
+    [ -n "$families" ] || { echo "error: loadgen --list-scenarios printed nothing" >&2; exit 1; }
+    for family in $families; do
         ./target/release/geosocial-loadgen \
             --spawn --shards 4 \
             --scenario "$family" \
